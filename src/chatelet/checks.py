@@ -23,7 +23,7 @@ from .local import (
     local_chow,
     normalize_roots,
 )
-from .norms import chi, norm_uniformizer
+from .norms import chi, classify_extension, norm_char_fn, norm_uniformizer
 from .padic import (
     REAL_PLACE,
     Place,
@@ -32,6 +32,7 @@ from .padic import (
     is_local_square,
     legendre,
     suggested_oracle_precision,
+    valuation,
 )
 
 __all__ = [
@@ -41,10 +42,10 @@ __all__ = [
     "check_equivariance",
     "check_order_agreement",
     "check_reciprocity",
+    "check_sampled_membership",
     "check_square_scaling",
     "check_symbol_identities",
     "check_symbol_oracle",
-    "check_truncation_stability",
     "random_rational",
     "random_surface",
     "run_check",
@@ -252,9 +253,9 @@ def random_surface(
 ) -> Tuple[Fraction, Tuple[Fraction, Fraction, Fraction], Place]:
     """One fuzzed surface (d, roots, place) directed at the named case family.
 
-    heavy asks the dyadic ramified constructor for a conductor-2 class (wider
-    sweep windows); small restricts primes and depths so that re-running with
-    an inflated window stays cheap.
+    heavy asks the dyadic ramified constructor for a conductor-2 class (deeper
+    refinement); small restricts primes and depths so that the flat-sweep
+    test oracle stays cheap on the result.
     """
     if family == "Real-d-positive":
         return abs(random_rational(rng)), _distinct_rationals(rng), REAL_PLACE
@@ -407,20 +408,41 @@ _ENUMERABLE_FAMILIES = (
 )
 
 
-def check_truncation_stability(rng: random.Random, count: int = 200) -> SuiteResult:
-    """Inflating the valuation window and residue modulus never changes the
-    enumerated subgroup."""
-    tally = _Tally("truncation-stability")
+def check_sampled_membership(rng: random.Random, count: int = 200) -> SuiteResult:
+    """Random points x of the base line that lift to the surface have triples
+    inside the enumerated subgroup.
+
+    x is drawn near each degenerate fiber at every depth from r - m down to
+    D + 2m + 3, past the level where the enumerator stops refining, and in the
+    far region v(x) < r - m, which it never visits (r = v(e1) = v(e2),
+    D = v(e1 - e2), m = conductor_n).
+    """
+    tally = _Tally("sampled-membership")
     for i in range(count):
         family = _ENUMERABLE_FAMILIES[i % len(_ENUMERABLE_FAMILIES)]
-        d, roots, place = random_surface(rng, family, small=True)
-        surface = normalize_roots(*roots, place)
-        tight = characteristic_subgroup(d, surface.e1, surface.e2, place, 0)
-        wide = characteristic_subgroup(d, surface.e1, surface.e2, place, 2)
+        heavy = (i // len(_ENUMERABLE_FAMILIES)) % 2 == 1
+        d, roots, p = random_surface(rng, family, heavy=heavy)
+        surface = normalize_roots(*roots, p)
+        e1, e2, r = surface.e1, surface.e2, surface.r
+        ext = classify_extension(d, p)
+        enumerated = characteristic_subgroup(d, e1, e2, p)
+        m = ext.conductor_n
+        deepest = valuation(e1 - e2, p) + 2 * m + 3
+        samples = [_signed_unit(rng, p) * Fraction(p) ** j for j in range(r - m - 3, r - m)]
+        for e in (0, e1, e2):
+            for j in range(r - m, deepest + 1):
+                samples.append(e + _signed_unit(rng, p) * Fraction(p) ** j)
+        c = norm_char_fn(Fraction(d), p)
+        outside = []
+        for x in samples:
+            if x in (0, e1, e2):
+                continue
+            t = (c(x), c(x - e1), c(x - e2))
+            if sum(t) % 2 == 0 and not enumerated.contains(t):
+                outside.append((str(x), t))
         tally.record(
-            tight == wide,
-            f"{family} d={d} roots={roots} v={place}: "
-            f"{tight.basis} widened to {wide.basis}",
+            not outside,
+            f"{family} d={d} roots={roots} v={p}: {outside[:3]} outside {enumerated.basis}",
         )
     return tally.result()
 
@@ -469,7 +491,7 @@ def check_square_scaling(rng: random.Random, count: int = 200) -> SuiteResult:
 _CLI_SUITES: Tuple[Tuple[str, Callable[[random.Random, int], SuiteResult]], ...] = (
     ("order-agreement", check_order_agreement),
     ("reciprocity", check_reciprocity),
-    ("truncation-stability", check_truncation_stability),
+    ("sampled-membership", check_sampled_membership),
     ("equivariance", check_equivariance),
 )
 

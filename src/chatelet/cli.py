@@ -67,13 +67,6 @@ def parse_place(text: str) -> Place:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -217,14 +210,13 @@ def _check_text(report: CheckReport) -> List[str]:
 
 
 def _run_local(args) -> Tuple[Dict, List[str], bool]:
-    report = local_chow(args.d, *args.roots, args.p, buffer=args.precision_buffer)
+    report = local_chow(args.d, *args.roots, args.p)
     payload = {
         "command": "local",
         "inputs": {
             "d": _rational_json(args.d),
             "roots": [_rational_json(c) for c in args.roots],
             "place": _place_json(args.p),
-            "precision_buffer": args.precision_buffer,
         },
         "result": _local_json(report),
         "checks": [
@@ -235,13 +227,12 @@ def _run_local(args) -> Tuple[Dict, List[str], bool]:
 
 
 def _run_global(args) -> Tuple[Dict, List[str], bool]:
-    report = global_chow(args.d, *args.roots, buffer=args.precision_buffer)
+    report = global_chow(args.d, *args.roots)
     payload = {
         "command": "global",
         "inputs": {
             "d": _rational_json(args.d),
             "roots": [_rational_json(c) for c in args.roots],
-            "precision_buffer": args.precision_buffer,
         },
         "result": _global_json(report),
         "checks": [
@@ -309,23 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     local.add_argument(
         "--p", type=parse_place, required=True, help="a prime number or 'real'"
     )
-    local.add_argument(
-        "--precision-buffer",
-        type=_nonnegative_int,
-        default=0,
-        help="extra widening of the sweep window and modulus",
-    )
 
     glob = sub.add_parser("global", parents=[common], help="class group over Q")
     glob.add_argument("--d", type=parse_rational, required=True, help="nonzero rational d")
     glob.add_argument(
         "--roots", type=parse_roots, required=True, help="three roots, e.g. 0,1,-3/20"
-    )
-    glob.add_argument(
-        "--precision-buffer",
-        type=_nonnegative_int,
-        default=0,
-        help="extra widening of the sweep window and modulus",
     )
 
     symbol = sub.add_parser(

@@ -14,6 +14,7 @@ from .local import (
     LocalReport,
     Subgroup3,
     _distinct_roots,
+    _repro_command,
     _triple_bits,
     local_chow,
 )
@@ -102,7 +103,6 @@ def global_chow(
     c3: Rational,
     sample_primes: int = 20,
     rng: Optional[random.Random] = None,
-    buffer: int = 0,
 ) -> GlobalReport:
     """Global group as the kernel of the summation map over all candidate places,
     with a sanity sample of non-candidate primes asserted trivial."""
@@ -114,7 +114,7 @@ def global_chow(
     if not places:  # d is a square in Q: every completion splits
         return GlobalReport(d, roots, 0, (), (), ())
 
-    reports = [local_chow(d, *roots, place, buffer) for place in places]
+    reports = [local_chow(d, *roots, place) for place in places]
     nontrivial = tuple(rep for rep in reports if rep.subgroup.dim > 0)
     kernel = kernel_dimension([rep.subgroup for rep in nontrivial])
 
@@ -122,11 +122,12 @@ def global_chow(
     pool = [p for p in primes_below(_SAMPLE_POOL_LIMIT) if p != 2 and p not in places]
     sampled = tuple(sorted(rng.sample(pool, min(sample_primes, len(pool)))))
     for q in sampled:
-        rep = local_chow(d, *roots, q, buffer)
+        rep = local_chow(d, *roots, q)
         if rep.subgroup.dim != 0:
             raise ContradictionError(
                 f"non-candidate prime {q} has a nontrivial local group; "
-                f"the candidate place set {places} is incomplete",
+                f"the candidate place set {places} is incomplete; reproduce with\n"
+                + _repro_command(d, roots, q),
                 predicted_order=1,
                 enumerated_order=rep.subgroup.order,
             )

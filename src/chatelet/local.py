@@ -1,7 +1,7 @@
 """Degree-zero 0-cycle class groups of y^2 - d z^2 = (x - c1)(x - c2)(x - c3) at one place.
 
 Two independent routes are always run and cross-checked: an exhaustive
-enumeration of characteristic triples over a truncated window (authoritative
+enumeration of characteristic triples by p-adic ball refinement (authoritative
 for generators), and a case classifier that predicts the group order from the
 normalized root data alone.
 """
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .factorint import is_prime
 from .gf2 import member, reduce_rows
 from .norms import (
     ExtKind,
@@ -21,9 +20,15 @@ from .norms import (
     classify_extension,
     norm_char_fn,
     norm_uniformizer,
-    stability_modulus,
 )
-from .padic import REAL_PLACE, Place, Rational, is_local_square, valuation
+from .padic import (
+    REAL_PLACE,
+    Place,
+    Rational,
+    is_local_square,
+    require_prime_place,
+    valuation,
+)
 
 __all__ = [
     "ContradictionError",
@@ -38,7 +43,6 @@ __all__ = [
     "local_chow",
     "normalize_roots",
     "special_fiber_images",
-    "truncation_bounds",
 ]
 
 Triple = Tuple[int, int, int]
@@ -166,10 +170,7 @@ def special_fiber_images(d: Rational, e1: Rational, e2: Rational, place: Place) 
         raise DegenerateSurfaceError("normalized roots 0, e1, e2 must be distinct")
     if is_local_square(d, place):
         raise ValueError("d is a local square; the character is trivial here")
-
-    def c(x: Fraction) -> int:
-        return chi(d, x, place)
-
+    c = norm_char_fn(d, place)
     fibers = (
         (0, 0, 0),
         (c(e1 * e2), c(-e1), c(-e2)),
@@ -182,27 +183,45 @@ def special_fiber_images(d: Rational, e1: Rational, e2: Rational, place: Place) 
     return fibers
 
 
-def truncation_bounds(ext: QuadExtClass, e1: Rational, e2: Rational, p: int) -> Tuple[int, int, int]:
-    """Valuation window [w_min, w_max] and residue precision M for the sweep."""
-    m = stability_modulus(ext)
-    r = valuation(Fraction(e1), p)
-    if valuation(Fraction(e2), p) != r:
-        raise ValueError("truncation bounds need v(e1) = v(e2)")
-    big_d = valuation(Fraction(e1) - Fraction(e2), p)
-    w_min = r - m
-    w_max = max(r, big_d) + m
-    return w_min, w_max, (w_max - w_min) + m + 1
+def _real_samples(e1: Fraction, e2: Fraction) -> Tuple[Fraction, ...]:
+    """One point inside each of the four real intervals cut out by 0, e1, e2."""
+    cuts = sorted((Fraction(0), e1, e2))
+    return (
+        cuts[0] - 1,
+        (cuts[0] + cuts[1]) / 2,
+        (cuts[1] + cuts[2]) / 2,
+        cuts[2] + 1,
+    )
+
+
+def _integral_residue(e: Fraction, modulus: int) -> int:
+    """The integer in [0, modulus) congruent to e, whose denominator is prime
+    to the modulus."""
+    return e.numerator * pow(e.denominator, -1, modulus) % modulus
 
 
 def characteristic_points(
-    d: Rational, e1: Rational, e2: Rational, place: Place, buffer: int = 0
-) -> Iterator[Tuple[Fraction, Triple]]:
-    """All sampled points x of the base line that lift to the surface, with their
+    d: Rational, e1: Rational, e2: Rational, place: Place
+) -> Iterator[Tuple[Rational, Triple]]:
+    """Points x of the base line that lift to the surface, with their
     characteristic triples (chi(x), chi(x - e1), chi(x - e2)).
 
-    Finite places sweep x = p^w * u over the truncation window plus deeper
-    samples x = e_i + p^j * u near each finite degenerate fiber; the real place
-    samples one point per interval cut out by {0, e1, e2}.
+    At a prime p the x-line is refined into balls b + p^k Z_p.  Let
+    r = v(e1) = v(e2), D = v(e1 - e2) and m the conductor exponent of
+    Q_p(sqrt(d)), the radius of
+    chi: chi(1 + t) = 0 whenever v(t) > m.
+
+    * Every x with v(x) < r - m has triple (c, c, c); an even sum forces
+      (0, 0, 0), the fiber at infinity, so refinement starts at p^(r - m) Z_p.
+    * A ball with v(b - e) < k - m for each e in {0, e1, e2} is resolved: all
+      three characters are constant on it, and x = b is yielded.
+    * A ball close to a single root e, with min(v(b - e), k) > v(e - e') + m
+      for both other roots e', has chi(x - e') = chi(e - e') throughout; an
+      even sum then forces the special-fiber image of e, so it is dropped.
+    * Any other ball is split into its p children.  At level D + 2m + 1 every
+      ball is resolved or dropped, so the work is O(p^(m+1) (D - r + 2m)).
+
+    The real place yields one sample per interval cut out by {0, e1, e2}.
     """
     d = Fraction(d)
     e1 = Fraction(e1)
@@ -210,14 +229,7 @@ def characteristic_points(
     c = norm_char_fn(d, place)
 
     if place == REAL_PLACE:
-        cuts = sorted((Fraction(0), e1, e2))
-        samples = [
-            cuts[0] - 1,
-            (cuts[0] + cuts[1]) / 2,
-            (cuts[1] + cuts[2]) / 2,
-            cuts[2] + 1,
-        ]
-        for x in samples:
+        for x in _real_samples(e1, e2):
             t = (c(x), c(x - e1), c(x - e2))
             if sum(t) % 2 == 0:
                 yield x, t
@@ -227,56 +239,65 @@ def characteristic_points(
     ext = classify_extension(d, p)
     if ext.kind is ExtKind.SPLIT:
         raise ValueError("d is a local square; nothing to enumerate")
-    w_min, w_max, precision = truncation_bounds(ext, e1, e2, p)
-    w_min -= buffer
-    w_max += buffer
-    precision += buffer
+    m = ext.conductor_n
     r = valuation(e1, p)
-    span = p**precision
-    units = [u for u in range(1, span) if u % p != 0]
-    # plain ints wherever denominators allow; the character accepts both
-    if e1.denominator == 1:
-        e1 = int(e1)
-    if e2.denominator == 1:
-        e2 = int(e2)
+    if valuation(e2, p) != r:
+        raise ValueError("the enumerator needs v(e1) = v(e2)")
+    # x -> p^(2s) x multiplies by a square, so the triples do not change, and
+    # it makes the start ball p^(r - m) Z_p integral.
+    s = max(0, (m - r + 1) // 2)
+    r += 2 * s
+    big_d = valuation(e1 - e2, p) + 2 * s
+    last = big_d + 2 * m + 1
+    # Integers congruent to the scaled roots far beyond every ball radius
+    # stand in for them: closeness and the characters see the same values.
+    modulus = p ** (last + m + 2)
+    square = p ** (2 * s)
+    f1 = _integral_residue(e1 * square, modulus)
+    f2 = _integral_residue(e2 * square, modulus)
+    roots = (0, f1, f2)
+    # a ball close to roots[i] alone is dropped from level drop[i] on, once it
+    # lies inside roots[i] + p^drop[i] Z_p
+    drop = (r + m + 1, big_d + m + 1, big_d + m + 1)
+    drop_mod = tuple(p**level for level in drop)
 
-    for w in range(w_min, w_max + 1):
-        scale = p**w if w >= 0 else Fraction(1, p**-w)
-        for u in units:
-            x = u * scale
-            if x == e1 or x == e2:
-                continue
-            t = (c(x), c(x - e1), c(x - e2))
-            if sum(t) % 2 == 0:
-                yield x, t
-    # deeper samples resolve x -> e_i where the window residues cannot
-    for root, other in ((e1, e2), (e2, e1)):
-        for j in range(r, w_max + 1):
-            scale = p**j if j >= 0 else Fraction(1, p**-j)
-            for u in units:
-                x = root + u * scale
-                if x == 0 or x == other:
-                    continue
-                t = (c(x), c(x - e1), c(x - e2))
+    balls = [0]
+    for k in range(r - m, last + 1):
+        near_mod = p ** max(k - m, 0)
+        step = p**k
+        children = []
+        for b in balls:
+            near = [i for i in (0, 1, 2) if (b - roots[i]) % near_mod == 0]
+            if not near:
+                t = (c(b), c(b - f1), c(b - f2))
                 if sum(t) % 2 == 0:
-                    yield x, t
+                    yield (b if s == 0 else Fraction(b, square)), t
+                continue
+            if len(near) == 1:
+                i = near[0]
+                if k >= drop[i] and (b - roots[i]) % drop_mod[i] == 0:
+                    continue
+            children.extend(range(b, b + p * step, step))
+        balls = children
+    if balls:
+        raise ArithmeticError(f"{len(balls)} balls left unresolved at level {last}")
 
 
 def characteristic_subgroup(
-    d: Rational, e1: Rational, e2: Rational, place: Place, buffer: int = 0
+    d: Rational, e1: Rational, e2: Rational, place: Place
 ) -> Subgroup3:
     """F2 span of all characteristic triples (local slot coordinates).
 
-    Seeds with the four degenerate fibers, then sweeps; the two out-of-window
-    stabilized triples coincide with the seeds (0,0,0) and [0], so the seeding
-    covers them.  Every emitted triple lies in the sum-zero plane, so the span
-    is complete as soon as it reaches dimension 2.
+    Seeds with the four degenerate fibers, which cover the far region and the
+    dropped balls, then adds the triples of `characteristic_points`.  Every
+    triple lies in the sum-zero plane, so the span is complete as soon as it
+    reaches dimension 2.
     """
     rows = reduce_rows(
         _triple_bits(t) for t in special_fiber_images(d, e1, e2, place)
     )
     if len(rows) < 2:
-        for _, t in characteristic_points(d, e1, e2, place, buffer):
+        for _, t in characteristic_points(d, e1, e2, place):
             b = _triple_bits(t)
             if not member(b, rows):
                 rows = reduce_rows(rows + [b])
@@ -298,14 +319,7 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
         if d > 0:
             raise ValueError("d > 0 at the real place is the split case")
         cubic = lambda x: x * (x - surface.e1) * (x - surface.e2)
-        cuts = sorted((Fraction(0), surface.e1, surface.e2))
-        samples = (
-            cuts[0] - 1,
-            (cuts[0] + cuts[1]) / 2,
-            (cuts[1] + cuts[2]) / 2,
-            cuts[2] + 1,
-        )
-        intervals = sum(1 for x in samples if cubic(x) > 0)
+        intervals = sum(1 for x in _real_samples(surface.e1, surface.e2) if cubic(x) > 0)
         return _REAL_NEGATIVE, 2 ** (intervals - 1)
 
     p = place
@@ -342,29 +356,33 @@ def _to_global(subgroup: Subgroup3, perm: Tuple[int, int, int]) -> Subgroup3:
     return Subgroup3.span(vectors)
 
 
-def _validate_place(place: Place) -> None:
-    if place == REAL_PLACE:
-        return
-    if not isinstance(place, int) or place < 2 or not is_prime(place):
-        raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
+def _repro_command(d: Rational, roots: Iterable[Rational], place: Place) -> str:
+    """The `chatelet local` command line that recomputes one local group."""
+    listed = ",".join(str(Fraction(c)) for c in roots)
+    return f"chatelet local --d={Fraction(d)} --roots={listed} --p={place}"
 
 
 def local_chow(
-    d: Rational, c1: Rational, c2: Rational, c3: Rational, place: Place, buffer: int = 0
+    d: Rational, c1: Rational, c2: Rational, c3: Rational, place: Place
 ) -> LocalReport:
     """Class group of degree-zero 0-cycles at one place, as a subgroup of (Z/2)^3
     in global root coordinates, cross-checked against the case classifier."""
-    _validate_place(place)
+    if place != REAL_PLACE:
+        try:
+            require_prime_place(place)
+        except ValueError:
+            raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}") from None
     d = Fraction(d)
     if d == 0:
         raise ValueError("d must be nonzero")
     roots = _distinct_roots(c1, c2, c3)
 
-    if is_local_square(d, place):
+    ext = classify_extension(d, place)
+    if ext.kind is ExtKind.SPLIT:
         label = _REAL_POSITIVE if place == REAL_PLACE else _SPLIT
         return LocalReport(
             place=place,
-            ext_class=classify_extension(d, place),
+            ext_class=ext,
             normalized=None,
             case_label=label,
             predicted_order=1,
@@ -373,18 +391,19 @@ def local_chow(
         )
 
     surface = normalize_roots(*roots, place)
-    local_sub = characteristic_subgroup(d, surface.e1, surface.e2, place, buffer)
+    local_sub = characteristic_subgroup(d, surface.e1, surface.e2, place)
     label, predicted = classify_case(d, surface, place)
     if local_sub.order != predicted:
         raise ContradictionError(
             f"classifier predicts order {predicted} for {label} but enumeration "
-            f"found order {local_sub.order} (d={d}, roots={roots}, place={place})",
+            f"found order {local_sub.order}; reproduce with\n"
+            + _repro_command(d, roots, place),
             predicted_order=predicted,
             enumerated_order=local_sub.order,
         )
     return LocalReport(
         place=place,
-        ext_class=classify_extension(d, place),
+        ext_class=ext,
         normalized=surface,
         case_label=label,
         predicted_order=predicted,

@@ -1,8 +1,9 @@
 """Norm characters of local quadratic extensions Q_v(sqrt(d)) / Q_v.
 
 chi(d, x, v) = hilbert_symbol(d, x, v) in additive F2 form: chi(x) = 0 exactly
-when x is a norm from the extension.  The dyadic conductor exponent and the
-stability modulus drive the truncation windows used by the local enumerator.
+when x is a norm from the extension.  The conductor exponent is the radius of
+chi (chi(1 + t) = 0 whenever v(t) > conductor_n), which bounds how finely the
+local enumerator refines the x-line.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class QuadExtClass:
     """Isomorphism class of Q_v(sqrt(d)) over Q_v.
 
     conductor_n is the dyadic conductor exponent (0 by convention at odd p and
-    at the real place); stability_m is the modulus with chi(1 + t) = 0 for all
-    v(t) > stability_m.
+    at the real place); at every prime it is the least m >= 0 with
+    chi(1 + t) = 0 for all v(t) > m.  stability_m is a safe modulus for the
+    same property, conductor_n + 1 for ramified classes.
     """
 
     kind: ExtKind
@@ -63,8 +65,12 @@ def _check_not_zero(d: Rational) -> Fraction:
     return d
 
 
+@lru_cache(maxsize=512)
 def classify_extension(d: Rational, place: Place) -> QuadExtClass:
-    """Classify Q_v(sqrt(d)) as Split / Unramified / Ramified with conductor data."""
+    """Classify Q_v(sqrt(d)) as Split / Unramified / Ramified with conductor data.
+
+    Cached: one local computation asks for the same class several times, and
+    at p = 2 the conductor is found by search."""
     d = _check_not_zero(d)
     if place == REAL_PLACE:
         if d > 0:
@@ -86,9 +92,11 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
 @lru_cache(maxsize=512)
 def norm_char_fn(d: Fraction, place: Place):
     """chi(d, -, place) partially evaluated for speed: a valuation coefficient
-    plus a unit-class table, both derived from hilbert_symbol itself.
+    plus the values on unit classes, both derived from hilbert_symbol itself.
 
-    The returned callable accepts a nonzero int or Fraction."""
+    The returned callable accepts a nonzero int or Fraction.  At odd p the unit
+    class is read by Euler's criterion, and only when chi is nontrivial on
+    units, so a cached evaluator holds no table of residues."""
     if place == REAL_PLACE:
         negative = d < 0
 
@@ -112,7 +120,7 @@ def norm_char_fn(d: Fraction, place: Place):
 
         return ev_dyadic
     nonsquare_value = hilbert_symbol(d, _least_nonresidue(p), p)
-    residues = frozenset(x * x % p for x in range(1, p))
+    half = (p - 1) // 2
 
     def ev_odd(x) -> int:
         t = x if isinstance(x, int) else x.numerator * x.denominator
@@ -120,7 +128,9 @@ def norm_char_fn(d: Fraction, place: Place):
         while t % p == 0:
             t //= p
             v += 1
-        return (c * v + (0 if t % p in residues else nonsquare_value)) % 2
+        if nonsquare_value and pow(t, half, p) != 1:
+            return (c * v + 1) % 2
+        return c * v % 2
 
     return ev_odd
 
@@ -161,7 +171,8 @@ def conductor_n(d: Rational) -> int:
 
 
 def stability_modulus(ext: QuadExtClass) -> int:
-    """Least m with chi(1 + t) = 0 whenever v(t) > m."""
+    """An m with chi(1 + t) = 0 whenever v(t) > m: the least one (conductor_n)
+    for unramified classes, conductor_n + 1 for ramified ones."""
     if ext.kind is ExtKind.SPLIT:
         raise ValueError("split extensions have no norm character to stabilize")
     return ext.stability_m

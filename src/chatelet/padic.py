@@ -24,7 +24,6 @@ __all__ = [
     "Rational",
     "hilbert_oracle",
     "hilbert_symbol",
-    "is_finite_place",
     "is_local_square",
     "is_rational_square",
     "legendre",
@@ -68,10 +67,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-
-def is_finite_place(place: Place) -> bool:
-    return place != REAL_PLACE
 
 
 def require_prime_place(place: Place) -> int:

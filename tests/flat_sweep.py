@@ -1,0 +1,153 @@
+"""The flat truncated sweep that the ball-refinement enumerator replaced, kept
+as a test oracle.
+
+It sweeps x = p^w * u over every unit residue u mod p^precision at every level
+w of a valuation window, plus deeper samples x = e_i + p^j * u near each
+finite degenerate fiber.  Its cost is about p^precision times the window, so
+call it only on small primes and shallow root congruences.  `buffer` widens
+the window and the residue precision; the span must not change with it.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Iterator, List, Tuple
+
+from chatelet import local
+from chatelet.checks import _ENUMERABLE_FAMILIES, random_surface
+from chatelet.gf2 import member, reduce_rows
+from chatelet.local import (
+    Subgroup3,
+    Triple,
+    _bits_triple,
+    _triple_bits,
+    normalize_roots,
+    special_fiber_images,
+)
+from chatelet.norms import (
+    ExtKind,
+    QuadExtClass,
+    classify_extension,
+    norm_char_fn,
+    stability_modulus,
+)
+from chatelet.padic import REAL_PLACE, Place, Rational, valuation
+
+
+def truncation_bounds(ext: QuadExtClass, e1: Rational, e2: Rational, p: int) -> Tuple[int, int, int]:
+    """Valuation window [w_min, w_max] and residue precision M for the sweep."""
+    m = stability_modulus(ext)
+    r = valuation(Fraction(e1), p)
+    if valuation(Fraction(e2), p) != r:
+        raise ValueError("truncation bounds need v(e1) = v(e2)")
+    big_d = valuation(Fraction(e1) - Fraction(e2), p)
+    w_min = r - m
+    w_max = max(r, big_d) + m
+    return w_min, w_max, (w_max - w_min) + m + 1
+
+
+def characteristic_points(
+    d: Rational, e1: Rational, e2: Rational, place: Place, buffer: int = 0
+) -> Iterator[Tuple[Fraction, Triple]]:
+    """All sampled points x of the base line that lift to the surface, with their
+    characteristic triples (chi(x), chi(x - e1), chi(x - e2)).
+
+    Finite places sweep x = p^w * u over the truncation window plus deeper
+    samples x = e_i + p^j * u near each finite degenerate fiber; the real place
+    samples one point per interval cut out by {0, e1, e2}.
+    """
+    d = Fraction(d)
+    e1 = Fraction(e1)
+    e2 = Fraction(e2)
+    c = norm_char_fn(d, place)
+
+    if place == REAL_PLACE:
+        cuts = sorted((Fraction(0), e1, e2))
+        samples = [
+            cuts[0] - 1,
+            (cuts[0] + cuts[1]) / 2,
+            (cuts[1] + cuts[2]) / 2,
+            cuts[2] + 1,
+        ]
+        for x in samples:
+            t = (c(x), c(x - e1), c(x - e2))
+            if sum(t) % 2 == 0:
+                yield x, t
+        return
+
+    p = place
+    ext = classify_extension(d, p)
+    if ext.kind is ExtKind.SPLIT:
+        raise ValueError("d is a local square; nothing to enumerate")
+    w_min, w_max, precision = truncation_bounds(ext, e1, e2, p)
+    w_min -= buffer
+    w_max += buffer
+    precision += buffer
+    r = valuation(e1, p)
+    span = p**precision
+    units = [u for u in range(1, span) if u % p != 0]
+    # plain ints wherever denominators allow; the character accepts both
+    if e1.denominator == 1:
+        e1 = int(e1)
+    if e2.denominator == 1:
+        e2 = int(e2)
+
+    for w in range(w_min, w_max + 1):
+        scale = p**w if w >= 0 else Fraction(1, p**-w)
+        for u in units:
+            x = u * scale
+            if x == e1 or x == e2:
+                continue
+            t = (c(x), c(x - e1), c(x - e2))
+            if sum(t) % 2 == 0:
+                yield x, t
+    # deeper samples resolve x -> e_i where the window residues cannot
+    for root, other in ((e1, e2), (e2, e1)):
+        for j in range(r, w_max + 1):
+            scale = p**j if j >= 0 else Fraction(1, p**-j)
+            for u in units:
+                x = root + u * scale
+                if x == 0 or x == other:
+                    continue
+                t = (c(x), c(x - e1), c(x - e2))
+                if sum(t) % 2 == 0:
+                    yield x, t
+
+
+def characteristic_subgroup(
+    d: Rational, e1: Rational, e2: Rational, place: Place, buffer: int = 0
+) -> Subgroup3:
+    """F2 span of the four degenerate fibers and every swept triple."""
+    rows = reduce_rows(
+        _triple_bits(t) for t in special_fiber_images(d, e1, e2, place)
+    )
+    if len(rows) < 2:
+        for _, t in characteristic_points(d, e1, e2, place, buffer):
+            b = _triple_bits(t)
+            if not member(b, rows):
+                rows = reduce_rows(rows + [b])
+                if len(rows) == 2:
+                    break
+    return Subgroup3(tuple(_bits_triple(b) for b in rows))
+
+
+def oracle_mismatches(rng: random.Random, count: int) -> List[str]:
+    """Compare the enumerator with this sweep, tight (buffer 0) and widened
+    (buffer 2), on `count` directed surfaces cycling through the nine
+    enumerable families at small primes and depths; describe each surface
+    where the three subgroups are not all equal."""
+    mismatches = []
+    for i in range(count):
+        family = _ENUMERABLE_FAMILIES[i % len(_ENUMERABLE_FAMILIES)]
+        d, roots, place = random_surface(rng, family, small=True)
+        surface = normalize_roots(*roots, place)
+        balls = local.characteristic_subgroup(d, surface.e1, surface.e2, place)
+        tight = characteristic_subgroup(d, surface.e1, surface.e2, place, 0)
+        wide = characteristic_subgroup(d, surface.e1, surface.e2, place, 2)
+        if not balls == tight == wide:
+            mismatches.append(
+                f"{family} d={d} roots={roots} v={place}: balls {balls.basis}, "
+                f"flat {tight.basis}, widened {wide.basis}"
+            )
+    return mismatches

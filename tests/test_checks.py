@@ -9,13 +9,14 @@ from chatelet import (
     check_equivariance,
     check_order_agreement,
     check_reciprocity,
+    check_sampled_membership,
     check_square_scaling,
     check_symbol_identities,
     check_symbol_oracle,
-    check_truncation_stability,
     random_surface,
     run_check,
 )
+from flat_sweep import oracle_mismatches
 
 
 def test_symbol_oracle_500():
@@ -49,7 +50,12 @@ def test_order_agreement_200_per_family():
 
 
 def test_truncation_stability_200():
-    result = check_truncation_stability(random.Random(15), 200)
+    # the enumerator against the flat-sweep oracle, tight and widened
+    assert oracle_mismatches(random.Random(15), 200) == []
+
+
+def test_sampled_membership_200():
+    result = check_sampled_membership(random.Random(18), 200)
     assert result.runs == 200
     assert result.failed == 0
 
@@ -74,7 +80,7 @@ def test_run_check_deterministic():
     assert [s.name for s in a.suites] == [
         "order-agreement",
         "reciprocity",
-        "truncation-stability",
+        "sampled-membership",
         "equivariance",
     ]
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -70,7 +71,6 @@ class TestLocalCommand:
             "d": "-1",
             "roots": ["0", "1", "2"],
             "place": 2,
-            "precision_buffer": 0,
         }
         result = payload["result"]
         assert result["case"] == "Prop3-iii"
@@ -135,6 +135,19 @@ class TestLocalCommand:
         monkeypatch.setattr(chatelet.cli, "local_chow", boom)
         assert main(self.ARGS) == EXIT_CONTRADICTION
 
+    def test_contradiction_ends_with_repro_line(self, monkeypatch, capsys):
+        # negative and fractional values must survive the round trip
+        monkeypatch.setattr(
+            chatelet.local, "classify_case", lambda d, surf, place: ("Prop3-i", 1)
+        )
+        args = ["local", "--d=-1/4", "--roots=-3/2,0,1", "--p=2"]
+        assert main(args) == EXIT_CONTRADICTION
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert line == "chatelet local --d=-1/4 --roots=-3/2,0,1 --p=2"
+        argv = shlex.split(line)
+        assert argv[0] == "chatelet"
+        assert main(argv[1:]) == EXIT_CONTRADICTION
+
 
 class TestGlobalCommand:
     def test_json_payload(self, capsys):
@@ -198,7 +211,7 @@ class TestCheckCommand:
         assert names == [
             "order-agreement",
             "reciprocity",
-            "truncation-stability",
+            "sampled-membership",
             "equivariance",
         ]
         agreement = payload["checks"][0]

@@ -1,6 +1,8 @@
 """Global kernel computation, candidate place finding, and reciprocity."""
 
+import json
 import random
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from chatelet import (
     kernel_dimension,
     reciprocity_check,
 )
+from chatelet.cli import EXIT_OK, main
 
 # 1000003 * 1000033; both factors exceed the default trial division bound
 HARD_COMPOSITE = 1000036000099
@@ -148,7 +151,7 @@ class TestGlobalChow:
         with pytest.raises(FactorizationError):
             global_chow(HARD_COMPOSITE, 0, 1, 2)
 
-    def test_missing_candidate_place_is_caught(self, monkeypatch):
+    def test_missing_candidate_place_is_caught(self, monkeypatch, capsys):
         # Hide p=3 from the candidate list; the trivial-at-sampled-primes
         # audit must notice the nontrivial local group there.
         monkeypatch.setattr(
@@ -166,6 +169,11 @@ class TestGlobalChow:
         with pytest.raises(ContradictionError) as exc:
             global_chow(-1, 0, 1, 9, sample_primes=1, rng=Pick3())
         assert exc.value.enumerated_order == 2
+        # the last line recomputes the offending local group
+        line = str(exc.value).splitlines()[-1]
+        assert line == "chatelet local --d=-1 --roots=0,1,9 --p=3"
+        assert main(shlex.split(line)[1:] + ["--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["result"]["group"] == "(Z/2)^1"
 
 
 class TestReciprocity:

@@ -1,10 +1,14 @@
-"""Local classifier and enumerator: normalization, fibers, sweeps, reports."""
+"""Local classifier and enumerator: normalization, fibers, ball refinement, reports."""
 
+import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 import chatelet.local
+import flat_sweep
 from chatelet import (
     ContradictionError,
     DegenerateSurfaceError,
@@ -14,14 +18,31 @@ from chatelet import (
     TRIVIAL_SUBGROUP,
     characteristic_points,
     characteristic_subgroup,
+    chi,
     classify_case,
     classify_extension,
     local_chow,
     normalize_roots,
+    random_surface,
     special_fiber_images,
-    truncation_bounds,
 )
+from chatelet.checks import _ENUMERABLE_FAMILIES
 from chatelet.padic import valuation
+
+@contextmanager
+def wall_clock_guard(seconds):
+    """Interrupt the body with TimeoutError once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"exceeded the {seconds} s wall-clock guard")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestNormalizeRoots:
@@ -101,25 +122,27 @@ class TestSpecialFiberImages:
 
 
 class TestTruncationBounds:
+    """The window of the flat-sweep oracle in tests/flat_sweep.py."""
+
     def test_dyadic_frozen(self):
         ext = classify_extension(Fraction(-1), 2)
-        assert truncation_bounds(ext, 1, 5, 2) == (-2, 4, 9)
+        assert flat_sweep.truncation_bounds(ext, 1, 5, 2) == (-2, 4, 9)
 
     def test_odd_frozen(self):
         ext = classify_extension(Fraction(2), 5)
-        assert truncation_bounds(ext, 1, 2, 5) == (0, 0, 1)
+        assert flat_sweep.truncation_bounds(ext, 1, 2, 5) == (0, 0, 1)
 
     def test_window_grows_with_root_congruence(self):
         ext = classify_extension(Fraction(-1), 2)
-        near = truncation_bounds(ext, 1, 1 + 2**6, 2)
-        far = truncation_bounds(ext, 1, 3, 2)
+        near = flat_sweep.truncation_bounds(ext, 1, 1 + 2**6, 2)
+        far = flat_sweep.truncation_bounds(ext, 1, 3, 2)
         assert near[1] > far[1]
         assert near[2] > far[2]
 
     def test_unequal_valuations_rejected(self):
         ext = classify_extension(Fraction(2), 5)
         with pytest.raises(ValueError, match="v\\(e1\\) = v\\(e2\\)"):
-            truncation_bounds(ext, 1, 5, 5)
+            flat_sweep.truncation_bounds(ext, 1, 5, 5)
 
 
 class TestCharacteristicPoints:
@@ -139,10 +162,11 @@ class TestCharacteristicPoints:
                 assert sum(t) % 2 == 0
 
     def test_far_samples_stabilize(self):
-        # d=-1, e=(1,9) at p=2: outside the window the triple only depends on
-        # the side.  Very negative valuations give (0,0,0) (x a square unit
-        # times 4^k dominates); very positive give the fiber class of 0.
-        pts = list(characteristic_points(-1, 1, 9, 2))
+        # d=-1, e=(1,9) at p=2, swept flat by the oracle: outside the window
+        # the triple only depends on the side.  Very negative valuations give
+        # (0,0,0) (x a square unit times 4^k dominates); very positive give
+        # the fiber class of 0.
+        pts = list(flat_sweep.characteristic_points(-1, 1, 9, 2))
         low = {t for x, t in pts if valuation(Fraction(x), 2) <= -2}
         high = {
             t
@@ -171,10 +195,11 @@ class TestCharacteristicSubgroup:
         assert sub.order == 2
 
     def test_buffer_does_not_change_span(self):
+        # the flat-sweep oracle, tight and widened, spans what the balls span
         for d, e1, e2, place in [(2, 1, 2, 5), (-1, 1, 9, 2)]:
-            assert characteristic_subgroup(d, e1, e2, place) == (
-                characteristic_subgroup(d, e1, e2, place, buffer=1)
-            )
+            balls = characteristic_subgroup(d, e1, e2, place)
+            assert balls == flat_sweep.characteristic_subgroup(d, e1, e2, place)
+            assert balls == flat_sweep.characteristic_subgroup(d, e1, e2, place, buffer=1)
 
     def test_subgroup_in_sum_zero_plane(self):
         sub = characteristic_subgroup(5, 1, 6, 5)
@@ -288,7 +313,7 @@ class TestLocalChow:
 
     @pytest.mark.parametrize("place", [6, -3, 1, "foo"])
     def test_bad_place_rejected(self, place):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="place must be a prime or 'real'"):
             local_chow(2, 0, 1, 3, place)
 
     def test_contradiction_is_raised(self, monkeypatch):
@@ -301,3 +326,124 @@ class TestLocalChow:
             local_chow(-1, 0, 1, 5, 2)
         assert exc.value.predicted_order == 1
         assert exc.value.enumerated_order == 4
+
+
+def _directed_surfaces(seed, per_family, heavy=False, small=False):
+    """(d, normalized surface, p) directed at each enumerable family in turn."""
+    rng = random.Random(seed)
+    for family in _ENUMERABLE_FAMILIES:
+        for _ in range(per_family):
+            d, roots, p = random_surface(rng, family, heavy=heavy, small=small)
+            yield d, normalize_roots(*roots, p), p
+
+
+def _sample_units(p, count=12):
+    return [u for u in range(-3 * p, 3 * p) if u % p][:: max(1, 6 * p // count)]
+
+
+class TestBallEnumerator:
+    def test_points_carry_their_exact_triples(self):
+        # a surface may yield nothing: at p = 3 with r = D = 0 every residue
+        # ball holds a root and is dropped, and the fibers span the group
+        seen = 0
+        for heavy in (False, True):
+            for d, surf, p in _directed_surfaces(31, 6, heavy=heavy):
+                e1, e2 = surf.e1, surf.e2
+                for x, t in characteristic_points(d, e1, e2, p):
+                    x = Fraction(x)
+                    assert t == (chi(d, x, p), chi(d, x - e1, p), chi(d, x - e2, p))
+                    assert sum(t) % 2 == 0
+                    seen += 1
+        assert seen > 0
+
+    def test_far_tail_is_the_infinity_fiber(self):
+        # x with v(x) < r - m is never visited: its triple is (c, c, c), and
+        # an even sum forces (0, 0, 0)
+        for heavy in (False, True):
+            for d, surf, p in _directed_surfaces(32, 6, heavy=heavy):
+                m = classify_extension(d, p).conductor_n
+                for j in range(surf.r - m - 4, surf.r - m):
+                    for u in _sample_units(p):
+                        x = u * Fraction(p) ** j
+                        t = (chi(d, x, p), chi(d, x - surf.e1, p), chi(d, x - surf.e2, p))
+                        if sum(t) % 2 == 0:
+                            assert t == (0, 0, 0), (d, surf, p, x, t)
+
+    def test_dropped_deep_balls_carry_fiber_images(self):
+        # x with v(x - e) > v(e - e') + m for both other roots e' lies in a
+        # ball the enumerator drops: every even-sum triple there is the
+        # special-fiber image of e, which seeds the span
+        for heavy in (False, True):
+            for d, surf, p in _directed_surfaces(33, 6, heavy=heavy):
+                e1, e2 = surf.e1, surf.e2
+                m = classify_extension(d, p).conductor_n
+                images = special_fiber_images(d, e1, e2, p)[1:]
+                big_d = valuation(e1 - e2, p)
+                for e, image, far in zip((0, e1, e2), images, (surf.r, big_d, big_d)):
+                    for j in range(far + m + 1, far + m + 5):
+                        for u in _sample_units(p):
+                            x = e + u * Fraction(p) ** j
+                            t = (chi(d, x, p), chi(d, x - e1, p), chi(d, x - e2, p))
+                            if sum(t) % 2 == 0:
+                                assert t == image, (d, surf, p, x, t, image)
+
+    def test_matches_flat_sweep_on_heavy_conductor_two(self):
+        rng = random.Random(34)
+        for family in ("Prop3-i", "Prop3-ii", "Prop3-iii") * 2:
+            d, roots, p = random_surface(rng, family, heavy=True)
+            surf = normalize_roots(*roots, p)
+            assert characteristic_subgroup(d, surf.e1, surf.e2, p) == (
+                flat_sweep.characteristic_subgroup(d, surf.e1, surf.e2, p)
+            ), (family, d, roots)
+
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("ramified", [False, True])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda p, n: (0, 1, 2),
+            lambda p, n: (0, n, n * (1 + p)),
+            lambda p, n: (0, p, 2 * p),
+        ],
+        ids=["apart", "congruent", "divisible"],
+    )
+    def test_matches_flat_sweep_at_larger_primes(self, p, ramified, shape):
+        # n is a nonresidue, so e1 = n is not a norm in the congruent shape
+        # (Prop2-ii): Prop2-i, where the flat sweep cannot stop early, takes
+        # it 5-11 s here and is left to the regression tests
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        d = p * n if ramified else n
+        surf = normalize_roots(*shape(p, n), p)
+        assert characteristic_subgroup(d, surf.e1, surf.e2, p) == (
+            flat_sweep.characteristic_subgroup(d, surf.e1, surf.e2, p)
+        )
+
+    def test_work_grows_linearly_with_root_congruence(self):
+        # conductor-2 class, e2 = 1 + 2^k: the flat sweep grew as 2^k
+        counts = [
+            len(list(characteristic_points(2, 1, 1 + 2**k, 2))) for k in (10, 20, 30)
+        ]
+        assert counts[2] - counts[1] == counts[1] - counts[0]
+        assert counts[2] < 4 * counts[0]
+
+
+class TestRegressions:
+    """Inputs that took minutes or did not finish under the flat sweep."""
+
+    @pytest.mark.parametrize(
+        "d,roots,p,label,basis",
+        [
+            (23, (0, 1, 24), 23, "Prop2-i", ((0, 1, 1),)),
+            (101, (0, 1, 102), 101, "Prop2-i", ((0, 1, 1),)),
+            (1009, (0, 1, 1010), 1009, "Prop2-i", ((0, 1, 1),)),
+            (2, (0, 1, 1 + 2**9), 2, "Prop3-i", ((0, 1, 1),)),
+            (2, (0, 1, 1 + 2**20), 2, "Prop3-i", ((0, 1, 1),)),
+            (-2, (0, 1, 1 + 2**30), 2, "Prop3-i", ((0, 1, 1),)),
+        ],
+    )
+    def test_finishes_within_guard(self, d, roots, p, label, basis):
+        with wall_clock_guard(5):
+            rep = local_chow(d, *roots, p)
+        assert rep.case_label == label
+        assert rep.predicted_order == rep.subgroup.order == 2
+        assert rep.subgroup.basis == basis

@@ -137,6 +137,17 @@ class TestNormCharFn:
         fn = norm_char_fn(Fraction(d), place)
         assert fn(n) == chi(d, n, place)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 1009])
+    def test_odd_evaluator_matches_hilbert_symbol(self, p):
+        # an unramified d (a nonresidue unit) and a ramified d (p times one);
+        # x runs over every residue class, times p^-1, 1 and p^2
+        nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        for d in (Fraction(nonresidue), Fraction(-p * nonresidue)):
+            fn = norm_char_fn(d, p)
+            for u in range(1, 2 * p + 1):
+                for x in (Fraction(u, p), Fraction(u), Fraction(u * p * p)):
+                    assert fn(x) == hilbert_symbol(d, x, p), (d, x)
+
 
 class TestConductor:
     def test_frozen(self):
