@@ -67,6 +67,22 @@ def parse_place(text: str) -> Place:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# argparse takes a token such as -1,0,1 or -3/4 for an unknown option, so a
+# signed value written after a space is joined to its flag as --flag=value.
+_RATIONAL_FLAGS = frozenset({"--d", "--roots", "--a", "--b"})
+_SIGNED_VALUE_RE = re.compile(r"-\d")
+
+
+def _join_signed_values(argv: Sequence[str]) -> List[str]:
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and _SIGNED_VALUE_RE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -340,7 +356,7 @@ _DISPATCH = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         payload, text_lines, ok = _DISPATCH[args.command](args)
     except FactorizationError as exc:

@@ -16,9 +16,16 @@ __all__ = [
 DEFAULT_TRIAL_DIVISION_BOUND = 10**6
 _BOUND_ENV_VAR = "CHOW_TRIAL_DIVISION_BOUND"
 
-# The fixed witness set is provably complete below this limit.
-_MILLER_RABIN_LIMIT = 3317044064679887385961981
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (limit, bases): the first primes as Miller-Rabin witnesses are provably
+# complete below each limit, the least strong pseudoprime to all of them
+# (psi_1, psi_2, psi_3, psi_4 and psi_13).
+_MILLER_RABIN_WITNESSES = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (25326001, (2, 3, 5)),
+    (3215031751, (2, 3, 5, 7)),
+    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
 
 
 class FactorizationError(RuntimeError):
@@ -43,13 +50,15 @@ def trial_division_bound() -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; refuses above the proven witness limit."""
+    """Deterministic Miller-Rabin with the smallest proven witness set for n;
+    refuses above the proven witness limit."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MILLER_RABIN_WITNESSES[-1][1]:
         if n % p == 0:
             return n == p
-    if n >= _MILLER_RABIN_LIMIT:
+    bases = next((bases for limit, bases in _MILLER_RABIN_WITNESSES if n < limit), None)
+    if bases is None:
         raise FactorizationError(
             f"{n} exceeds the deterministic Miller-Rabin witness limit", n
         )
@@ -58,7 +67,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MILLER_RABIN_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

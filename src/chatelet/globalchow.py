@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .factorint import factorize, primes_below
@@ -30,6 +31,12 @@ __all__ = [
 ]
 
 _SAMPLE_POOL_LIMIT = 2_000
+
+
+@lru_cache(maxsize=None)
+def _sample_pool() -> Tuple[int, ...]:
+    """Odd primes below the pool limit, sieved once on first use."""
+    return tuple(primes_below(_SAMPLE_POOL_LIMIT)[1:])
 
 
 def _place_sort_key(place: Place) -> Tuple[int, int]:
@@ -119,7 +126,8 @@ def global_chow(
     kernel = kernel_dimension([rep.subgroup for rep in nontrivial])
 
     rng = rng if rng is not None else random.Random(0)
-    pool = [p for p in primes_below(_SAMPLE_POOL_LIMIT) if p != 2 and p not in places]
+    excluded = set(places)
+    pool = [p for p in _sample_pool() if p not in excluded]
     sampled = tuple(sorted(rng.sample(pool, min(sample_primes, len(pool)))))
     for q in sampled:
         rep = local_chow(d, *roots, q)

@@ -220,6 +220,12 @@ def characteristic_points(
       even sum then forces the special-fiber image of e, so it is dropped.
     * Any other ball is split into its p children.  At level D + 2m + 1 every
       ball is resolved or dropped, so the work is O(p^(m+1) (D - r + 2m)).
+    * If Q_p(sqrt(d)) is unramified, chi(x) = v(x) mod 2 ignores units.  A
+      child of a split ball b + p^k Z_p that holds no root has v(x - e) = k
+      for each root e in the parent and v(x - e) = v(b - e) for the others,
+      so all such children share one triple: only the children holding a
+      root and one rootless child are kept.  The work is then O(D - r + 2),
+      independent of p.
 
     The real place yields one sample per interval cut out by {0, e1, e2}.
     """
@@ -240,6 +246,7 @@ def characteristic_points(
     if ext.kind is ExtKind.SPLIT:
         raise ValueError("d is a local square; nothing to enumerate")
     m = ext.conductor_n
+    unit_blind = ext.kind is ExtKind.UNRAMIFIED
     r = valuation(e1, p)
     if valuation(e2, p) != r:
         raise ValueError("the enumerator needs v(e1) = v(e2)")
@@ -277,7 +284,14 @@ def characteristic_points(
                 i = near[0]
                 if k >= drop[i] and (b - roots[i]) % drop_mod[i] == 0:
                     continue
-            children.extend(range(b, b + p * step, step))
+            split = range(b, b + p * step, step)
+            if unit_blind:
+                # the rootless children share one triple: keep one of them
+                held = sorted({roots[i] % (p * step) for i in near})
+                far = next((x for x in split if x not in held), None)
+                children.extend(held if far is None else held + [far])
+            else:
+                children.extend(split)
         balls = children
     if balls:
         raise ArithmeticError(f"{len(balls)} balls left unresolved at level {last}")

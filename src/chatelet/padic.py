@@ -229,19 +229,6 @@ def _int_valuation(x: int, p: int):
 
 
 @lru_cache(maxsize=32)
-def _min_val_square_table(p: int, k: int) -> dict:
-    """Map z^2 mod p^k -> minimal valuation of z over z in [1, p^k)."""
-    mod = p**k
-    table: dict = {}
-    for z in range(1, mod):
-        val = z * z % mod
-        vz = _int_valuation(z, p)
-        prev = table.get(val)
-        if prev is None or vz < prev:
-            table[val] = vz
-    return table
-
-
 def _scaled_square_table(c: int, p: int, k: int) -> dict:
     """Map c * y^2 mod p^k -> minimal valuation of y over y in [1, p^k)."""
     mod = p**k
@@ -281,7 +268,7 @@ def hilbert_oracle(a: Rational, b: Rational, p: int, k: int) -> int:
         raise PrecisionError(f"search modulus {p}^{k} exceeds the exhaustive budget")
 
     v2 = 1 if p == 2 else 0
-    squares = _min_val_square_table(p, k)
+    squares = _scaled_square_table(1, p, k)
     b_values = _scaled_square_table(B % mod, p, k)
 
     def accepted(slots) -> bool:

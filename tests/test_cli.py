@@ -128,6 +128,22 @@ class TestLocalCommand:
             main(["local", "--d", "-1", "--roots", "0,1,2", "--p", "6"])
         assert exc.value.code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--d", "-3/4", "--roots", "-1,0,1", "--p", "2"],
+            ["--d=-3/4", "--roots=-1,0,1", "--p=2"],
+        ],
+        ids=["space", "equals"],
+    )
+    def test_signed_values(self, args, capsys):
+        # argparse alone reads -3/4 and -1,0,1 after a space as options
+        assert main(["local", *args, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["inputs"] == {"d": "-3/4", "roots": ["-1", "0", "1"], "place": 2}
+        assert payload["result"]["case"] == "Prop1-ii"
+        assert payload["result"]["generators"] == [[1, 0, 1]]
+
     def test_contradiction_exit(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ContradictionError("forced", predicted_order=1, enumerated_order=4)
@@ -166,6 +182,17 @@ class TestGlobalCommand:
         assert "sampled-prime-triviality" in names
         assert all(c["ok"] for c in payload["checks"])
 
+    def test_signed_values(self, capsys):
+        outputs = []
+        for args in (
+            ["--d", "-3/4", "--roots", "-1,0,1"],
+            ["--d=-3/4", "--roots=-1,0,1"],
+        ):
+            assert main(["global", *args, "--format", "json"]) == EXIT_OK
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["inputs"] == {"d": "-3/4", "roots": ["-1", "0", "1"]}
+
     def test_square_d(self, capsys):
         assert main(["global", "--d", "4", "--roots", "0,1,2"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -198,6 +225,10 @@ class TestSymbolCommand:
 
     def test_zero_rejected(self):
         assert main(["symbol", "--a", "0", "--b", "5", "--p", "5"]) == EXIT_INVALID_INPUT
+
+    def test_signed_values(self, capsys):
+        assert main(["symbol", "--a", "-3/4", "--b", "-1", "--p", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "1"
 
 
 class TestCheckCommand:

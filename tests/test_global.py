@@ -138,6 +138,25 @@ class TestGlobalChow:
         b = global_chow(-1, 0, 1, 2, rng=random.Random(3))
         assert a == b
 
+    def test_sample_pool_is_sieved_once(self, monkeypatch):
+        from chatelet.factorint import primes_below
+
+        limits = []
+
+        def counted(limit):
+            limits.append(limit)
+            return primes_below(limit)
+
+        monkeypatch.setattr(chatelet.globalchow, "primes_below", counted)
+        chatelet.globalchow._sample_pool.cache_clear()
+        first = global_chow(-1, 0, 1, 2)
+        global_chow(-1, 0, 1, 3)
+        assert limits == [2000]
+        assert first.sampled_primes == (
+            79, 229, 367, 389, 617, 733, 757, 839, 919, 941,
+            1103, 1217, 1289, 1327, 1559, 1583, 1657, 1669, 1759, 1987,
+        )
+
     def test_sample_primes_zero(self):
         rep = global_chow(-1, 0, 1, 2, sample_primes=0)
         assert rep.sampled_primes == ()

@@ -21,6 +21,7 @@ from chatelet import (
     chi,
     classify_case,
     classify_extension,
+    global_chow,
     local_chow,
     normalize_roots,
     random_surface,
@@ -311,7 +312,7 @@ class TestLocalChow:
         with pytest.raises(ValueError):
             local_chow(0, 0, 1, 2, 5)
 
-    @pytest.mark.parametrize("place", [6, -3, 1, "foo"])
+    @pytest.mark.parametrize("place", [6, -3, 1, "foo", 318665857834031151167461])
     def test_bad_place_rejected(self, place):
         with pytest.raises(ValueError, match="place must be a prime or 'real'"):
             local_chow(2, 0, 1, 3, place)
@@ -418,6 +419,48 @@ class TestBallEnumerator:
             flat_sweep.characteristic_subgroup(d, surf.e1, surf.e2, p)
         )
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_unit_blind_matches_flat_sweep(self, p):
+        # r from -2 to 2 (p in the root denominators below 0) and D - r from
+        # 0 to 4, as far as the sweep's p^(D - r + 1) residues stay cheap
+        rng = random.Random(p)
+        if p == 2:
+            classes = (5, -3, Fraction(13, 4), -12)
+        else:
+            nonresidues = [n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1]
+            classes = (rng.choice(nonresidues), Fraction(rng.choice(nonresidues) - p, p**2))
+        compared = 0
+        for d in classes:
+            assert classify_extension(d, p).kind is ExtKind.UNRAMIFIED
+            for r in range(-2, 3):
+                for gap in range(5):
+                    if p ** (gap + 1) > 3200 or (p == 2 and gap == 0):
+                        continue
+                    while True:
+                        u1, u2 = (rng.randrange(1, 4 * p) for _ in range(2))
+                        if u1 % p and u2 % p and (gap or (u1 + u2) % p):
+                            break
+                    e1 = u1 * Fraction(p) ** r
+                    e2 = e1 + u2 * Fraction(p) ** (r + gap)
+                    assert valuation(e2, p) == r and valuation(e1 - e2, p) == r + gap
+                    assert characteristic_subgroup(d, e1, e2, p) == (
+                        flat_sweep.characteristic_subgroup(d, e1, e2, p)
+                    ), (d, e1, e2, p)
+                    compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("p", [999983, 1000003])
+    def test_unit_blind_work_is_independent_of_p(self, p):
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        for d in (n, Fraction(n - p, p**2)):
+            for r in (-1, 0, 1, 2):
+                for gap in range(5):
+                    e1 = 3 * Fraction(p) ** r
+                    e2 = e1 + 5 * Fraction(p) ** (r + gap)
+                    with wall_clock_guard(5):
+                        points = list(characteristic_points(d, e1, e2, p))
+                    assert len(points) <= 2 * (gap + 2), (d, e1, e2, len(points))
+
     def test_work_grows_linearly_with_root_congruence(self):
         # conductor-2 class, e2 = 1 + 2^k: the flat sweep grew as 2^k
         counts = [
@@ -439,11 +482,28 @@ class TestRegressions:
             (2, (0, 1, 1 + 2**9), 2, "Prop3-i", ((0, 1, 1),)),
             (2, (0, 1, 1 + 2**20), 2, "Prop3-i", ((0, 1, 1),)),
             (-2, (0, 1, 1 + 2**30), 2, "Prop3-i", ((0, 1, 1),)),
+            # unramified: each of the ~p residue balls was evaluated
+            (-1, (0, 1, 999984), 999983, "Prop1-ii", ((0, 1, 1),)),
+            (3, (0, 1, 2), 1000003, "Prop1-i", ()),
         ],
     )
     def test_finishes_within_guard(self, d, roots, p, label, basis):
         with wall_clock_guard(5):
             rep = local_chow(d, *roots, p)
         assert rep.case_label == label
-        assert rep.predicted_order == rep.subgroup.order == 2
+        assert rep.predicted_order == rep.subgroup.order == 2 ** len(basis)
         assert rep.subgroup.basis == basis
+
+    def test_global_with_large_unramified_place_within_guard(self):
+        with wall_clock_guard(5):
+            rep = global_chow(-1, 0, 1, 999984)
+        assert rep.kernel_dim == 5
+        assert rep.checked_places == ("real", 2, 3, 83, 251, 999983)
+        assert {v.place: v.subgroup.basis for v in rep.local_reports} == {
+            "real": ((0, 1, 1),),
+            2: ((1, 0, 1), (0, 1, 1)),
+            3: ((1, 0, 1),),
+            83: ((1, 0, 1),),
+            251: ((1, 0, 1),),
+            999983: ((0, 1, 1),),
+        }
