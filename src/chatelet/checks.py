@@ -23,7 +23,7 @@ from .local import (
     local_chow,
     normalize_roots,
 )
-from .norms import chi, classify_extension, norm_char_fn, norm_uniformizer
+from .norms import chi, classify_extension, norm_char_fn
 from .padic import (
     REAL_PLACE,
     Place,
@@ -156,13 +156,12 @@ def _unramified_d(rng: random.Random, p: int) -> Fraction:
 def _norm_directed_element(
     rng: random.Random, d: Fraction, p: int, r: int, want: int
 ) -> Fraction:
-    """A value e with v(e) = r and chi(e / pi^r) equal to want."""
-    pi = norm_uniformizer(d, p) if r else None
+    """A value e with v(e) = r and chi(e) equal to want, which is chi(e / pi^r)
+    for a norm uniformizer pi."""
     for _ in range(_MAX_TRIES):
         u = _odd_signed(rng) if p == 2 else _signed_unit(rng, p)
         e = u * Fraction(p) ** r
-        target = e / pi**r if r else Fraction(u)
-        if chi(d, target, p) == want:
+        if chi(d, e, p) == want:
             return e
     raise RuntimeError(f"found no unit with character value {want} for d={d}, p={p}")
 

@@ -19,7 +19,6 @@ from .norms import (
     chi,
     classify_extension,
     norm_char_fn,
-    norm_uniformizer,
 )
 from .padic import (
     REAL_PLACE,
@@ -124,7 +123,6 @@ class LocalReport:
     case_label: str
     predicted_order: int
     subgroup: Subgroup3  # in global root coordinates
-    consistent: bool
 
 
 def _distinct_roots(c1: Rational, c2: Rational, c3: Rational) -> Tuple[Fraction, ...]:
@@ -348,14 +346,13 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
         if big_d == r:
             return "Prop1-i", 1
         return "Prop1-ii", 2
-    # ramified: rescale by a norm uniformizer so the classifier sees units
     family = "Prop2" if p != 2 else "Prop3"
     depth = 1 if p != 2 else 2 * ext.conductor_n + 1
     congruent = valuation(surface.e1 / surface.e2 - 1, p) >= depth
     if not congruent:
         return f"{family}-iii", 4
-    pi = norm_uniformizer(d, p)
-    if chi(d, surface.e1 / pi**r, p) == 0:
+    # the criterion reads chi(e1 / pi^r) for a norm uniformizer pi; chi(pi) = 0
+    if chi(d, surface.e1, p) == 0:
         return f"{family}-i", 2
     return f"{family}-ii", 4
 
@@ -382,17 +379,14 @@ def local_chow(
     """Class group of degree-zero 0-cycles at one place, as a subgroup of (Z/2)^3
     in global root coordinates, cross-checked against the case classifier."""
     if place != REAL_PLACE:
-        try:
-            require_prime_place(place)
-        except ValueError:
-            raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}") from None
+        require_prime_place(place)
     d = Fraction(d)
     if d == 0:
         raise ValueError("d must be nonzero")
-    roots = _distinct_roots(c1, c2, c3)
 
     ext = classify_extension(d, place)
     if ext.kind is ExtKind.SPLIT:
+        _distinct_roots(c1, c2, c3)
         label = _REAL_POSITIVE if place == REAL_PLACE else _SPLIT
         return LocalReport(
             place=place,
@@ -401,17 +395,16 @@ def local_chow(
             case_label=label,
             predicted_order=1,
             subgroup=TRIVIAL_SUBGROUP,
-            consistent=True,
         )
 
-    surface = normalize_roots(*roots, place)
+    surface = normalize_roots(c1, c2, c3, place)
     local_sub = characteristic_subgroup(d, surface.e1, surface.e2, place)
     label, predicted = classify_case(d, surface, place)
     if local_sub.order != predicted:
         raise ContradictionError(
             f"classifier predicts order {predicted} for {label} but enumeration "
             f"found order {local_sub.order}; reproduce with\n"
-            + _repro_command(d, roots, place),
+            + _repro_command(d, (c1, c2, c3), place),
             predicted_order=predicted,
             enumerated_order=local_sub.order,
         )
@@ -422,5 +415,4 @@ def local_chow(
         case_label=label,
         predicted_order=predicted,
         subgroup=_to_global(local_sub, surface.perm),
-        consistent=True,
     )

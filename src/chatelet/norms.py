@@ -19,7 +19,6 @@ from .padic import (
     Rational,
     hilbert_symbol,
     is_local_square,
-    legendre,
     unit_residue,
     valuation,
 )
@@ -30,11 +29,8 @@ __all__ = [
     "chi",
     "classify_extension",
     "conductor_n",
-    "norm_uniformizer",
     "stability_modulus",
 ]
-
-_CONDUCTOR_CAP = 8
 
 
 class ExtKind(enum.Enum):
@@ -69,8 +65,10 @@ def _check_not_zero(d: Rational) -> Fraction:
 def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     """Classify Q_v(sqrt(d)) as Split / Unramified / Ramified with conductor data.
 
-    Cached: one local computation asks for the same class several times, and
-    at p = 2 the conductor is found by search."""
+    At p = 2 a ramified class has discriminant 4d (d = 3 mod 4, n = 1) or 8u
+    (d = 2u, n = 2), so n = 1 + v_2(d) mod 2 (Serre, A Course in Arithmetic,
+    ch. III).  Cached: local_chow, the enumerator and the classifier each ask
+    for the class of the same (d, place)."""
     d = _check_not_zero(d)
     if place == REAL_PLACE:
         if d > 0:
@@ -85,18 +83,19 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
         return QuadExtClass(ExtKind.RAMIFIED, conductor_n=0, stability_m=1)
     if valuation(d, 2) % 2 == 0 and unit_residue(d, 2, 3) == 5:
         return QuadExtClass(ExtKind.UNRAMIFIED)
-    n = conductor_n(d)
+    n = 1 + valuation(d, 2) % 2
     return QuadExtClass(ExtKind.RAMIFIED, conductor_n=n, stability_m=n + 1)
 
 
 @lru_cache(maxsize=512)
 def norm_char_fn(d: Fraction, place: Place):
     """chi(d, -, place) partially evaluated for speed: a valuation coefficient
-    plus the values on unit classes, both derived from hilbert_symbol itself.
+    plus the values on unit classes.
 
-    The returned callable accepts a nonzero int or Fraction.  At odd p the unit
-    class is read by Euler's criterion, and only when chi is nontrivial on
-    units, so a cached evaluator holds no table of residues."""
+    The returned callable accepts a nonzero int or Fraction.  At odd p,
+    (d, u)_p = (u/p)^v_p(d) for a unit u, so chi is nontrivial on units
+    exactly when v_p(d) is odd; only then is the unit class read, by Euler's
+    criterion, so a cached evaluator holds no table of residues."""
     if place == REAL_PLACE:
         negative = d < 0
 
@@ -119,7 +118,7 @@ def norm_char_fn(d: Fraction, place: Place):
             return (c * v + table[t & 7]) % 2
 
         return ev_dyadic
-    nonsquare_value = hilbert_symbol(d, _least_nonresidue(p), p)
+    nonsquare_value = valuation(d, p) % 2
     half = (p - 1) // 2
 
     def ev_odd(x) -> int:
@@ -135,13 +134,6 @@ def norm_char_fn(d: Fraction, place: Place):
     return ev_odd
 
 
-def _least_nonresidue(p: int) -> int:
-    n = 2
-    while legendre(n, p) == 0:
-        n += 1
-    return n
-
-
 def chi(d: Rational, x: Rational, place: Place) -> int:
     """Norm character of Q_v(sqrt(d)): 0 iff x is a norm (equals (d, x)_v)."""
     d = _check_not_zero(d)
@@ -153,21 +145,13 @@ def chi(d: Rational, x: Rational, place: Place) -> int:
 
 def conductor_n(d: Rational) -> int:
     """Dyadic conductor exponent: least n >= 1 with chi trivial on 1 + 2^(n+1) Z_2
-    and nontrivial on 1 + 2^n Z_2.  Brute force over odd residues."""
-    d = _check_not_zero(d)
-    if is_local_square(d, 2):
+    and nontrivial on 1 + 2^n Z_2, as classify_extension(d, 2) reads it."""
+    ext = classify_extension(d, 2)
+    if ext.kind is ExtKind.SPLIT:
         raise ValueError("d is a square in Q_2; the character is trivial")
-    if valuation(d, 2) % 2 == 0 and unit_residue(d, 2, 3) == 5:
+    if ext.kind is ExtKind.UNRAMIFIED:
         raise ValueError("Q_2(sqrt(d)) is unramified; no dyadic conductor here")
-    for n in range(1, _CONDUCTOR_CAP + 1):
-        modulus = 2 ** (n + 3)
-        trivial_above = all(chi(d, u, 2) == 0 for u in range(1, modulus, 2 ** (n + 1)))
-        nontrivial_at = any(chi(d, u, 2) == 1 for u in range(1, modulus, 2**n))
-        if trivial_above:
-            if not nontrivial_at:
-                raise ArithmeticError("character trivial on all units; not ramified?")
-            return n
-    raise ArithmeticError(f"conductor exponent exceeds hard cap {_CONDUCTOR_CAP}")
+    return ext.conductor_n
 
 
 def stability_modulus(ext: QuadExtClass) -> int:
@@ -176,17 +160,3 @@ def stability_modulus(ext: QuadExtClass) -> int:
     if ext.kind is ExtKind.SPLIT:
         raise ValueError("split extensions have no norm character to stabilize")
     return ext.stability_m
-
-
-def norm_uniformizer(d: Rational, p: int) -> Fraction:
-    """A uniformizer p*u with chi(d, p*u, p) = 0, for ramified Q_p(sqrt(d))."""
-    ext = classify_extension(d, p)
-    if ext.kind is not ExtKind.RAMIFIED:
-        raise ValueError("norm uniformizers are only sought in the ramified case")
-    span = p ** (ext.stability_m + 1)
-    for u in range(1, span):
-        if u % p == 0:
-            continue
-        if chi(d, p * u, p) == 0:
-            return Fraction(p * u)
-    raise ArithmeticError("no norm uniformizer found; the character table is broken")

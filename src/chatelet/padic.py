@@ -70,11 +70,16 @@ INFINITY = _Infinity()
 
 
 def require_prime_place(place: Place) -> int:
-    """The finite place as an int, or ValueError if it is not a prime."""
-    from .factorint import is_prime
+    """The finite place as an int, or ValueError if it is not a prime that
+    is_prime can certify."""
+    from .factorint import FactorizationError, is_prime
 
-    if not isinstance(place, int) or place < 2 or not is_prime(place):
-        raise ValueError(f"finite places must be prime numbers, got {place!r}")
+    try:
+        prime = isinstance(place, int) and place >= 2 and is_prime(place)
+    except FactorizationError:  # beyond the proven Miller-Rabin witness limit
+        prime = False
+    if not prime:
+        raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
     return place
 
 

@@ -36,7 +36,6 @@ def _expect_local(d, roots, place, label, order):
     assert rep.case_label == label, (d, roots, place, rep.case_label)
     assert rep.predicted_order == order, (d, roots, place, rep.predicted_order)
     assert rep.subgroup.order == order, (d, roots, place, rep.subgroup.order)
-    assert rep.consistent
 
 
 def test_criterion_1_unramified_odd():

@@ -1,5 +1,6 @@
 """Quadratic extension classification, norm characters, conductors."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from chatelet import (
     conductor_n,
     hilbert_symbol,
     norm_char_fn,
-    norm_uniformizer,
     stability_modulus,
     valuation,
 )
@@ -139,10 +139,15 @@ class TestNormCharFn:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 1009])
     def test_odd_evaluator_matches_hilbert_symbol(self, p):
-        # an unramified d (a nonresidue unit) and a ramified d (p times one);
-        # x runs over every residue class, times p^-1, 1 and p^2
+        # d of valuation 0, 1, -1 and 2, each a nonresidue unit times a power
+        # of p; x runs over every residue class, times p^-1, 1 and p^2
         nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
-        for d in (Fraction(nonresidue), Fraction(-p * nonresidue)):
+        for d in (
+            Fraction(nonresidue),
+            Fraction(-p * nonresidue),
+            Fraction(nonresidue, p),
+            Fraction(-nonresidue * p * p),
+        ):
             fn = norm_char_fn(d, p)
             for u in range(1, 2 * p + 1):
                 for x in (Fraction(u, p), Fraction(u), Fraction(u * p * p)):
@@ -165,8 +170,19 @@ class TestConductor:
         assert conductor_n(8) == 2
 
     def test_against_brute_force_character(self):
-        # chi must vanish on 1 + 2^(n+1) Z_2 and not on 1 + 2^n Z_2
-        for d in (-1, -2, 2, -5, 10):
+        # chi must vanish on 1 + 2^(n+1) Z_2 and not on 1 + 2^n Z_2; besides
+        # the fixed values, 200 seeded ramified d = 2^a w s^2 with a in
+        # [-3, 3], w an odd unit (3 mod 4 when a is even) and s rational
+        rng = random.Random(0)
+        seeded = []
+        for _ in range(200):
+            a = rng.randint(-3, 3)
+            w = rng.choice((1, -1)) * (2 * rng.randint(0, 500) + 1)
+            if a % 2 == 0 and w % 4 == 1:
+                w = -w
+            s = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            seeded.append(Fraction(2) ** a * w * s * s)
+        for d in [-1, -2, 2, -5, 10] + seeded:
             n = conductor_n(d)
             above = [u for u in range(1, 512, 2) if (u - 1) % 2 ** (n + 1) == 0]
             at = [u for u in range(1, 512, 2) if (u - 1) % 2**n == 0]
@@ -179,22 +195,3 @@ class TestConductor:
         with pytest.raises(ValueError):
             conductor_n(5)  # unramified at 2
 
-
-class TestNormUniformizer:
-    @pytest.mark.parametrize(
-        "d,p,expected",
-        [(-1, 2, 2), (2, 2, 2), (-2, 2, 2), (5, 5, 5), (-5, 5, 5), (3, 3, 6)],
-    )
-    def test_frozen(self, d, p, expected):
-        assert norm_uniformizer(d, p) == expected
-
-    def test_contract(self):
-        for d, p in ((-1, 2), (2, 2), (-5, 5), (3, 3), (7, 7), (-21, 3)):
-            pi = norm_uniformizer(d, p)
-            assert valuation(pi, p) == 1
-            assert chi(d, pi, p) == 0
-
-    def test_unramified_rejected(self):
-        # every uniformizer has chi = 1 when the extension is unramified
-        with pytest.raises(ValueError):
-            norm_uniformizer(2, 5)
