@@ -424,14 +424,14 @@ def check_sampled_membership(rng: random.Random, count: int = 200) -> SuiteResul
         surface = normalize_roots(*roots, p)
         e1, e2, r = surface.e1, surface.e2, surface.r
         ext = classify_extension(d, p)
-        enumerated = characteristic_subgroup(d, e1, e2, p)
+        enumerated = characteristic_subgroup(d, surface, p)
         m = ext.conductor_n
         deepest = valuation(e1 - e2, p) + 2 * m + 3
         samples = [_signed_unit(rng, p) * Fraction(p) ** j for j in range(r - m - 3, r - m)]
         for e in (0, e1, e2):
             for j in range(r - m, deepest + 1):
                 samples.append(e + _signed_unit(rng, p) * Fraction(p) ** j)
-        c = norm_char_fn(Fraction(d), p)
+        c = norm_char_fn(d, p)
         outside = []
         for x in samples:
             if x in (0, e1, e2):

@@ -109,7 +109,6 @@ def _local_json(report: LocalReport) -> Dict:
         "extension": {
             "kind": ext.kind.name.lower(),
             "conductor_n": ext.conductor_n,
-            "stability_m": ext.stability_m,
         },
         "case": report.case_label,
         "order": report.predicted_order,

@@ -80,13 +80,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, bound: int | None = None) -> Dict[int, int]:
-    """Prime factorization of |n| (n != 0).  Trial division up to the bound,
-    then the cofactor must certify prime; a composite cofactor is a hard error."""
+def factorize(n: int) -> Dict[int, int]:
+    """Prime factorization of |n| (n != 0).  Trial division up to
+    trial_division_bound(), then the cofactor must certify prime; a composite
+    cofactor is a hard error."""
     if n == 0:
         raise ValueError("cannot factor zero")
-    if bound is None:
-        bound = trial_division_bound()
+    bound = trial_division_bound()
     n = abs(n)
     factors: Dict[int, int] = {}
     for p in (2, 3):

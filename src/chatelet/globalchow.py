@@ -19,7 +19,14 @@ from .local import (
     _triple_bits,
     local_chow,
 )
-from .padic import REAL_PLACE, Place, Rational, hilbert_symbol, is_rational_square
+from .padic import (
+    REAL_PLACE,
+    Place,
+    Rational,
+    _nonzero,
+    hilbert_symbol,
+    is_rational_square,
+)
 
 __all__ = [
     "GlobalReport",
@@ -56,9 +63,7 @@ def _odd_prime_support(values: Iterable[Fraction]) -> set:
 def candidate_places(d: Rational, c1: Rational, c2: Rational, c3: Rational) -> List[Place]:
     """Places where the local group can possibly be nontrivial: the real place, 2,
     and odd primes dividing d or a root difference.  Empty if d is a square in Q."""
-    d = Fraction(d)
-    if d == 0:
-        raise ValueError("d must be nonzero")
+    d = _nonzero(d, "d must be nonzero")
     roots = _distinct_roots(c1, c2, c3)
     if is_rational_square(d):
         return []
@@ -113,9 +118,7 @@ def global_chow(
 ) -> GlobalReport:
     """Global group as the kernel of the summation map over all candidate places,
     with a sanity sample of non-candidate primes asserted trivial."""
-    d = Fraction(d)
-    if d == 0:
-        raise ValueError("d must be nonzero")
+    d = _nonzero(d, "d must be nonzero")
     roots = _distinct_roots(c1, c2, c3)
     places = candidate_places(d, *roots)
     if not places:  # d is a square in Q: every completion splits
@@ -155,10 +158,8 @@ class ReciprocityReport:
 def reciprocity_check(a: Rational, b: Rational) -> ReciprocityReport:
     """Hilbert symbols of (a, b) over every place that can be nonzero; their F2
     sum must vanish."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("reciprocity needs nonzero arguments")
+    a = _nonzero(a, "reciprocity needs nonzero arguments")
+    b = _nonzero(b, "reciprocity needs nonzero arguments")
     places: List[Place] = [REAL_PLACE, 2]
     places.extend(_odd_prime_support([a, b]))
     places.sort(key=_place_sort_key)

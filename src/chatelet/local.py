@@ -24,7 +24,7 @@ from .padic import (
     REAL_PLACE,
     Place,
     Rational,
-    is_local_square,
+    _as_fraction,
     require_prime_place,
     valuation,
 )
@@ -126,8 +126,8 @@ class LocalReport:
 
 
 def _distinct_roots(c1: Rational, c2: Rational, c3: Rational) -> Tuple[Fraction, ...]:
-    roots = tuple(Fraction(c) for c in (c1, c2, c3))
-    if len(set(roots)) != 3:
+    roots = (_as_fraction(c1), _as_fraction(c2), _as_fraction(c3))
+    if roots[0] == roots[1] or roots[0] == roots[2] or roots[1] == roots[2]:
         listed = ", ".join(str(c) for c in roots)
         raise DegenerateSurfaceError(f"roots must be pairwise distinct, got ({listed})")
     return roots
@@ -159,16 +159,15 @@ def normalize_roots(c1: Rational, c2: Rational, c3: Rational, place: Place) -> N
     raise ArithmeticError("no valid base root; the ultrametric inequality failed?")
 
 
-def special_fiber_images(d: Rational, e1: Rational, e2: Rational, place: Place) -> Tuple[Triple, ...]:
-    """Classes of the four degenerate fibers x = infinity, 0, e1, e2."""
-    d = Fraction(d)
-    e1 = Fraction(e1)
-    e2 = Fraction(e2)
-    if 0 in (e1, e2) or e1 == e2:
-        raise DegenerateSurfaceError("normalized roots 0, e1, e2 must be distinct")
-    if is_local_square(d, place):
+def special_fiber_images(
+    d: Rational, surface: NormalizedSurface, place: Place
+) -> Tuple[Triple, ...]:
+    """Classes of the four degenerate fibers x = infinity, 0, e1, e2 of the
+    normalized surface (local slot coordinates)."""
+    if classify_extension(d, place).kind is ExtKind.SPLIT:
         raise ValueError("d is a local square; the character is trivial here")
     c = norm_char_fn(d, place)
+    e1, e2 = surface.e1, surface.e2
     fibers = (
         (0, 0, 0),
         (c(e1 * e2), c(-e1), c(-e2)),
@@ -199,15 +198,15 @@ def _integral_residue(e: Fraction, modulus: int) -> int:
 
 
 def characteristic_points(
-    d: Rational, e1: Rational, e2: Rational, place: Place
+    d: Rational, surface: NormalizedSurface, place: Place
 ) -> Iterator[Tuple[Rational, Triple]]:
-    """Points x of the base line that lift to the surface, with their
-    characteristic triples (chi(x), chi(x - e1), chi(x - e2)).
+    """Points x of the base line that lift to the normalized surface, with
+    their characteristic triples (chi(x), chi(x - e1), chi(x - e2)).
 
-    At a prime p the x-line is refined into balls b + p^k Z_p.  Let
-    r = v(e1) = v(e2), D = v(e1 - e2) and m the conductor exponent of
-    Q_p(sqrt(d)), the radius of
-    chi: chi(1 + t) = 0 whenever v(t) > m.
+    The roots are read from the surface, which normalize_roots has checked:
+    e1, e2 and r = v(e1) = v(e2).  At a prime p the x-line is refined into
+    balls b + p^k Z_p.  Let D = v(e1 - e2) and m the conductor exponent of
+    Q_p(sqrt(d)), the radius of chi: chi(1 + t) = 0 whenever v(t) > m.
 
     * Every x with v(x) < r - m has triple (c, c, c); an even sum forces
       (0, 0, 0), the fiber at infinity, so refinement starts at p^(r - m) Z_p.
@@ -227,10 +226,8 @@ def characteristic_points(
 
     The real place yields one sample per interval cut out by {0, e1, e2}.
     """
-    d = Fraction(d)
-    e1 = Fraction(e1)
-    e2 = Fraction(e2)
     c = norm_char_fn(d, place)
+    e1, e2 = surface.e1, surface.e2
 
     if place == REAL_PLACE:
         for x in _real_samples(e1, e2):
@@ -245,9 +242,7 @@ def characteristic_points(
         raise ValueError("d is a local square; nothing to enumerate")
     m = ext.conductor_n
     unit_blind = ext.kind is ExtKind.UNRAMIFIED
-    r = valuation(e1, p)
-    if valuation(e2, p) != r:
-        raise ValueError("the enumerator needs v(e1) = v(e2)")
+    r = surface.r
     # x -> p^(2s) x multiplies by a square, so the triples do not change, and
     # it makes the start ball p^(r - m) Z_p integral.
     s = max(0, (m - r + 1) // 2)
@@ -296,9 +291,10 @@ def characteristic_points(
 
 
 def characteristic_subgroup(
-    d: Rational, e1: Rational, e2: Rational, place: Place
+    d: Rational, surface: NormalizedSurface, place: Place
 ) -> Subgroup3:
-    """F2 span of all characteristic triples (local slot coordinates).
+    """F2 span of all characteristic triples of the normalized surface (local
+    slot coordinates).
 
     Seeds with the four degenerate fibers, which cover the far region and the
     dropped balls, then adds the triples of `characteristic_points`.  Every
@@ -306,10 +302,10 @@ def characteristic_subgroup(
     reaches dimension 2.
     """
     rows = reduce_rows(
-        _triple_bits(t) for t in special_fiber_images(d, e1, e2, place)
+        _triple_bits(t) for t in special_fiber_images(d, surface, place)
     )
     if len(rows) < 2:
-        for _, t in characteristic_points(d, e1, e2, place):
+        for _, t in characteristic_points(d, surface, place):
             b = _triple_bits(t)
             if not member(b, rows):
                 rows = reduce_rows(rows + [b])
@@ -326,16 +322,15 @@ _REAL_NEGATIVE = "Real-d-negative"
 
 def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tuple[str, int]:
     """Predict the group order from normalized root data, without enumeration."""
-    d = Fraction(d)
+    ext = classify_extension(d, place)
     if place == REAL_PLACE:
-        if d > 0:
+        if ext.kind is ExtKind.SPLIT:
             raise ValueError("d > 0 at the real place is the split case")
         cubic = lambda x: x * (x - surface.e1) * (x - surface.e2)
         intervals = sum(1 for x in _real_samples(surface.e1, surface.e2) if cubic(x) > 0)
         return _REAL_NEGATIVE, 2 ** (intervals - 1)
 
     p = place
-    ext = classify_extension(d, p)
     if ext.kind is ExtKind.SPLIT:
         raise ValueError("d is a local square; no case to classify")
     r = surface.r
@@ -380,10 +375,6 @@ def local_chow(
     in global root coordinates, cross-checked against the case classifier."""
     if place != REAL_PLACE:
         require_prime_place(place)
-    d = Fraction(d)
-    if d == 0:
-        raise ValueError("d must be nonzero")
-
     ext = classify_extension(d, place)
     if ext.kind is ExtKind.SPLIT:
         _distinct_roots(c1, c2, c3)
@@ -398,7 +389,7 @@ def local_chow(
         )
 
     surface = normalize_roots(c1, c2, c3, place)
-    local_sub = characteristic_subgroup(d, surface.e1, surface.e2, place)
+    local_sub = characteristic_subgroup(d, surface, place)
     label, predicted = classify_case(d, surface, place)
     if local_sub.order != predicted:
         raise ContradictionError(

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .padic import (
     REAL_PLACE,
     Place,
     Rational,
+    _as_fraction,
+    _nonzero,
     hilbert_symbol,
     is_local_square,
     unit_residue,
@@ -29,7 +30,6 @@ __all__ = [
     "chi",
     "classify_extension",
     "conductor_n",
-    "stability_modulus",
 ]
 
 
@@ -45,23 +45,16 @@ class QuadExtClass:
 
     conductor_n is the dyadic conductor exponent (0 by convention at odd p and
     at the real place); at every prime it is the least m >= 0 with
-    chi(1 + t) = 0 for all v(t) > m.  stability_m is a safe modulus for the
-    same property, conductor_n + 1 for ramified classes.
+    chi(1 + t) = 0 for all v(t) > m.
     """
 
     kind: ExtKind
     conductor_n: int = 0
-    stability_m: int = 0
 
 
-def _check_not_zero(d: Rational) -> Fraction:
-    d = Fraction(d)
-    if d == 0:
-        raise ValueError("d must be nonzero")
-    return d
-
-
-@lru_cache(maxsize=512)
+# typed=True here and on norm_char_fn: a float equal to a cached Fraction
+# (0.5 and 1/2) must still reach the check instead of hitting the cache
+@lru_cache(maxsize=512, typed=True)
 def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     """Classify Q_v(sqrt(d)) as Split / Unramified / Ramified with conductor data.
 
@@ -69,7 +62,7 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     (d = 2u, n = 2), so n = 1 + v_2(d) mod 2 (Serre, A Course in Arithmetic,
     ch. III).  Cached: local_chow, the enumerator and the classifier each ask
     for the class of the same (d, place)."""
-    d = _check_not_zero(d)
+    d = _nonzero(d, "d must be nonzero")
     if place == REAL_PLACE:
         if d > 0:
             return QuadExtClass(ExtKind.SPLIT)
@@ -80,27 +73,37 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     if p != 2:
         if valuation(d, p) % 2 == 0:
             return QuadExtClass(ExtKind.UNRAMIFIED)
-        return QuadExtClass(ExtKind.RAMIFIED, conductor_n=0, stability_m=1)
+        return QuadExtClass(ExtKind.RAMIFIED)
     if valuation(d, 2) % 2 == 0 and unit_residue(d, 2, 3) == 5:
         return QuadExtClass(ExtKind.UNRAMIFIED)
-    n = 1 + valuation(d, 2) % 2
-    return QuadExtClass(ExtKind.RAMIFIED, conductor_n=n, stability_m=n + 1)
+    return QuadExtClass(ExtKind.RAMIFIED, conductor_n=1 + valuation(d, 2) % 2)
 
 
-@lru_cache(maxsize=512)
-def norm_char_fn(d: Fraction, place: Place):
+def _square_class_int(x: Rational) -> int:
+    """x itself, or numerator * denominator, which differs from x by the
+    square denominator^2: a nonzero int in the square class of x."""
+    t = x if isinstance(x, int) else _as_fraction(x).numerator * x.denominator
+    if not t:
+        raise ValueError("chi is undefined at zero")
+    return t
+
+
+@lru_cache(maxsize=512, typed=True)
+def norm_char_fn(d: Rational, place: Place):
     """chi(d, -, place) partially evaluated for speed: a valuation coefficient
     plus the values on unit classes.
 
-    The returned callable accepts a nonzero int or Fraction.  At odd p,
+    The returned callable accepts a nonzero int or Fraction; zero raises
+    ValueError and any other type TypeError.  At odd p,
     (d, u)_p = (u/p)^v_p(d) for a unit u, so chi is nontrivial on units
     exactly when v_p(d) is odd; only then is the unit class read, by Euler's
     criterion, so a cached evaluator holds no table of residues."""
+    d = _nonzero(d, "d must be nonzero")
     if place == REAL_PLACE:
         negative = d < 0
 
         def ev_real(x) -> int:
-            return 1 if negative and x < 0 else 0
+            return 1 if _square_class_int(x) < 0 and negative else 0
 
         return ev_real
     p = place
@@ -109,8 +112,7 @@ def norm_char_fn(d: Fraction, place: Place):
         table = {u: hilbert_symbol(d, u, 2) for u in (1, 3, 5, 7)}
 
         def ev_dyadic(x) -> int:
-            # x and numerator*denominator differ by the square denominator^2
-            t = x if isinstance(x, int) else x.numerator * x.denominator
+            t = _square_class_int(x)
             v = 0
             while not t & 1:
                 t >>= 1
@@ -122,7 +124,7 @@ def norm_char_fn(d: Fraction, place: Place):
     half = (p - 1) // 2
 
     def ev_odd(x) -> int:
-        t = x if isinstance(x, int) else x.numerator * x.denominator
+        t = _square_class_int(x)
         v = 0
         while t % p == 0:
             t //= p
@@ -136,10 +138,6 @@ def norm_char_fn(d: Fraction, place: Place):
 
 def chi(d: Rational, x: Rational, place: Place) -> int:
     """Norm character of Q_v(sqrt(d)): 0 iff x is a norm (equals (d, x)_v)."""
-    d = _check_not_zero(d)
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("chi is undefined at zero")
     return norm_char_fn(d, place)(x)
 
 
@@ -152,11 +150,3 @@ def conductor_n(d: Rational) -> int:
     if ext.kind is ExtKind.UNRAMIFIED:
         raise ValueError("Q_2(sqrt(d)) is unramified; no dyadic conductor here")
     return ext.conductor_n
-
-
-def stability_modulus(ext: QuadExtClass) -> int:
-    """An m with chi(1 + t) = 0 whenever v(t) > m: the least one (conductor_n)
-    for unramified classes, conductor_n + 1 for ramified ones."""
-    if ext.kind is ExtKind.SPLIT:
-        raise ValueError("split extensions have no norm character to stabilize")
-    return ext.stability_m

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator, Tuple, Union
+
+from .factorint import FactorizationError, is_prime
 
 Rational = Union[int, Fraction]
 
@@ -18,7 +21,6 @@ Place = Union[int, str]
 
 __all__ = [
     "REAL_PLACE",
-    "INFINITY",
     "Place",
     "PrecisionError",
     "Rational",
@@ -42,38 +44,9 @@ class PrecisionError(ValueError):
     """An exhaustive p-adic search cannot decide at the given precision."""
 
 
-class _Infinity:
-    """Valuation of zero: a sentinel ordered strictly above every integer."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __neg__(self):
-        raise ArithmeticError("cannot negate an infinite valuation")
-
-    def __repr__(self):
-        return "oo"
-
-
-INFINITY = _Infinity()
-
-
 def require_prime_place(place: Place) -> int:
     """The finite place as an int, or ValueError if it is not a prime that
     is_prime can certify."""
-    from .factorint import FactorizationError, is_prime
-
     try:
         prime = isinstance(place, int) and place >= 2 and is_prime(place)
     except FactorizationError:  # beyond the proven Miller-Rabin witness limit
@@ -84,6 +57,9 @@ def require_prime_place(place: Place) -> int:
 
 
 def _as_fraction(r: Rational) -> Fraction:
+    """The one check of caller input: an int or a Fraction, as a Fraction.
+
+    Anything else, a float or a str included, raises TypeError."""
     if isinstance(r, Fraction):
         return r
     if isinstance(r, int):
@@ -91,11 +67,17 @@ def _as_fraction(r: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(r).__name__}")
 
 
-def valuation(r: Rational, p: int):
-    """p-adic valuation of r; INFINITY for r = 0."""
+def _nonzero(r: Rational, message: str) -> Fraction:
+    """_as_fraction for a value that must be nonzero; zero raises ValueError."""
     r = _as_fraction(r)
-    if r == 0:
-        return INFINITY
+    if not r:
+        raise ValueError(message)
+    return r
+
+
+def valuation(r: Rational, p: int) -> int:
+    """p-adic valuation of a nonzero rational r."""
+    r = _nonzero(r, "the valuation of zero is undefined")
     v = 0
     num = r.numerator
     while num % p == 0:
@@ -110,9 +92,7 @@ def valuation(r: Rational, p: int):
 
 def unit_residue(r: Rational, p: int, precision: int) -> int:
     """The unit part r / p^v(r) reduced mod p**precision (in [1, p**precision))."""
-    r = _as_fraction(r)
-    if r == 0:
-        raise ValueError("the unit residue of zero is undefined")
+    r = _nonzero(r, "the unit residue of zero is undefined")
     if precision < 1:
         raise ValueError("precision must be >= 1")
     num = r.numerator
@@ -136,9 +116,7 @@ def legendre(a: int, p: int) -> int:
 
 def is_local_square(r: Rational, place: Place) -> bool:
     """Whether r is a square in the completion of Q at the given place."""
-    r = _as_fraction(r)
-    if r == 0:
-        raise ValueError("squareness of zero is not classified")
+    r = _nonzero(r, "squareness of zero is not classified")
     if place == REAL_PLACE:
         return r > 0
     p = place
@@ -152,8 +130,6 @@ def is_local_square(r: Rational, place: Place) -> bool:
 
 def is_rational_square(r: Rational) -> bool:
     """Whether r is a square in Q itself (exact test)."""
-    from math import isqrt
-
     r = _as_fraction(r)
     if r < 0:
         return False
@@ -177,10 +153,8 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
     0 means z^2 = a x^2 + b y^2 has a nonzero solution in the completion,
     1 means it does not.
     """
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
+    a = _nonzero(a, "hilbert symbol needs nonzero arguments")
+    b = _nonzero(b, "hilbert symbol needs nonzero arguments")
     if place == REAL_PLACE:
         return 1 if a < 0 and b < 0 else 0
     p = require_prime_place(place)
@@ -202,16 +176,9 @@ def suggested_oracle_precision(a: Rational, b: Rational, p: int) -> int:
     Valuations enter mod 2 because the oracle works on square-class
     representatives with valuation 0 or 1.
     """
-    va = valuation(_nonzero(a), p) % 2
-    vb = valuation(_nonzero(b), p) % 2
+    va = valuation(a, p) % 2
+    vb = valuation(b, p) % 2
     return 2 * (va + vb) + (6 if p == 2 else 3)
-
-
-def _nonzero(r: Rational) -> Fraction:
-    r = _as_fraction(r)
-    if r == 0:
-        raise ValueError("expected a nonzero rational")
-    return r
 
 
 def _square_class_rep(r: Rational, p: int, k: int) -> Tuple[int, int]:
@@ -257,8 +224,8 @@ def hilbert_oracle(a: Rational, b: Rational, p: int, k: int) -> int:
     PrecisionError when k is too small to decide, or too large to enumerate.
     """
     p = require_prime_place(p)
-    A, va = _square_class_rep(_nonzero(a), p, k)
-    B, vb = _square_class_rep(_nonzero(b), p, k)
+    A, va = _square_class_rep(a, p, k)
+    B, vb = _square_class_rep(b, p, k)
     # smallest usable precision: p^k must exceed 8 * p^(2 * max valuation)
     bound = 8 * p ** (2 * max(va, vb))
     min_k = 1

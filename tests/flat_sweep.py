@@ -18,6 +18,7 @@ from chatelet import local
 from chatelet.checks import _ENUMERABLE_FAMILIES, random_surface
 from chatelet.gf2 import member, reduce_rows
 from chatelet.local import (
+    NormalizedSurface,
     Subgroup3,
     Triple,
     _bits_triple,
@@ -30,14 +31,24 @@ from chatelet.norms import (
     QuadExtClass,
     classify_extension,
     norm_char_fn,
-    stability_modulus,
 )
 from chatelet.padic import REAL_PLACE, Place, Rational, valuation
 
 
+def window_modulus(ext: QuadExtClass) -> int:
+    """An m with chi(1 + t) = 0 whenever v(t) > m: the least one (conductor_n)
+    for unramified classes, conductor_n + 1 for ramified ones.  Not the least
+    for ramified classes, so the sweep's window errs on the wide side."""
+    if ext.kind is ExtKind.SPLIT:
+        raise ValueError("split extensions have no norm character to stabilize")
+    if ext.kind is ExtKind.RAMIFIED:
+        return ext.conductor_n + 1
+    return ext.conductor_n
+
+
 def truncation_bounds(ext: QuadExtClass, e1: Rational, e2: Rational, p: int) -> Tuple[int, int, int]:
     """Valuation window [w_min, w_max] and residue precision M for the sweep."""
-    m = stability_modulus(ext)
+    m = window_modulus(ext)
     r = valuation(Fraction(e1), p)
     if valuation(Fraction(e2), p) != r:
         raise ValueError("truncation bounds need v(e1) = v(e2)")
@@ -116,14 +127,14 @@ def characteristic_points(
 
 
 def characteristic_subgroup(
-    d: Rational, e1: Rational, e2: Rational, place: Place, buffer: int = 0
+    d: Rational, surface: NormalizedSurface, place: Place, buffer: int = 0
 ) -> Subgroup3:
     """F2 span of the four degenerate fibers and every swept triple."""
     rows = reduce_rows(
-        _triple_bits(t) for t in special_fiber_images(d, e1, e2, place)
+        _triple_bits(t) for t in special_fiber_images(d, surface, place)
     )
     if len(rows) < 2:
-        for _, t in characteristic_points(d, e1, e2, place, buffer):
+        for _, t in characteristic_points(d, surface.e1, surface.e2, place, buffer):
             b = _triple_bits(t)
             if not member(b, rows):
                 rows = reduce_rows(rows + [b])
@@ -142,9 +153,9 @@ def oracle_mismatches(rng: random.Random, count: int) -> List[str]:
         family = _ENUMERABLE_FAMILIES[i % len(_ENUMERABLE_FAMILIES)]
         d, roots, place = random_surface(rng, family, small=True)
         surface = normalize_roots(*roots, place)
-        balls = local.characteristic_subgroup(d, surface.e1, surface.e2, place)
-        tight = characteristic_subgroup(d, surface.e1, surface.e2, place, 0)
-        wide = characteristic_subgroup(d, surface.e1, surface.e2, place, 2)
+        balls = local.characteristic_subgroup(d, surface, place)
+        tight = characteristic_subgroup(d, surface, place, 0)
+        wide = characteristic_subgroup(d, surface, place, 2)
         if not balls == tight == wide:
             mismatches.append(
                 f"{family} d={d} roots={roots} v={place}: balls {balls.basis}, "

@@ -17,6 +17,7 @@ from chatelet import (
     global_chow,
     hilbert_symbol,
     local_chow,
+    normalize_roots,
     special_fiber_images,
 )
 from chatelet.padic import valuation
@@ -93,7 +94,7 @@ def test_criterion_4_conductors():
 
 def test_criterion_5_stable_tails():
     def body():
-        zero_fiber = special_fiber_images(-1, 1, 9, 2)[1]
+        zero_fiber = special_fiber_images(-1, normalize_roots(0, 1, 9, 2), 2)[1]
         assert zero_fiber == (0, 1, 1)
         low = high = 0
         # the flat-sweep oracle samples both tails, which the ball

@@ -80,7 +80,6 @@ class TestLocalCommand:
         assert result["extension"] == {
             "kind": "ramified",
             "conductor_n": 1,
-            "stability_m": 2,
         }
         assert result["normalized"] == {
             "base_root_index": 2,

@@ -23,6 +23,7 @@ from chatelet import (
     classify_extension,
     global_chow,
     local_chow,
+    norm_char_fn,
     normalize_roots,
     random_surface,
     special_fiber_images,
@@ -91,35 +92,35 @@ class TestNormalizeRoots:
             normalize_roots(*roots, 3)
 
 
+def _surface(e1, e2, place):
+    """The normalized surface with roots 0, e1, e2: normalize_roots keeps e1
+    and e2 as they are when v(e1) = v(e2) (ascending at the real place)."""
+    return normalize_roots(0, e1, e2, place)
+
+
 class TestSpecialFiberImages:
     def test_odd_ramified_frozen(self):
         # d=2 at p=5: [infinity], [0], [e1], [e2] in local slot coordinates.
-        fibers = special_fiber_images(2, 5, 10, 5)
+        fibers = special_fiber_images(2, _surface(5, 10, 5), 5)
         assert fibers == ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
     def test_dyadic_frozen(self):
         # The fiber over e2=5 lands on (0,0,0): chi(5)=0 and chi(5-1)=0 for d=-1.
-        fibers = special_fiber_images(-1, 1, 5, 2)
+        fibers = special_fiber_images(-1, _surface(1, 5, 2), 2)
         assert fibers == ((0, 0, 0), (0, 1, 1), (0, 1, 1), (0, 0, 0))
 
     def test_infinity_fiber_is_zero(self):
         for d, e1, e2, place in [(2, 1, 2, 5), (-1, 1, 9, 2), (-1, 1, 2, "real")]:
-            assert special_fiber_images(d, e1, e2, place)[0] == (0, 0, 0)
+            assert special_fiber_images(d, _surface(e1, e2, place), place)[0] == (0, 0, 0)
 
     def test_images_sum_to_zero(self):
         for d, e1, e2, place in [(2, 5, 10, 5), (-1, 1, 5, 2), (5, 2, 12, 5)]:
-            for t in special_fiber_images(d, e1, e2, place):
+            for t in special_fiber_images(d, _surface(e1, e2, place), place):
                 assert sum(t) % 2 == 0
 
     def test_split_d_rejected(self):
         with pytest.raises(ValueError, match="local square"):
-            special_fiber_images(4, 1, 2, 5)
-
-    def test_degenerate_roots_rejected(self):
-        with pytest.raises(DegenerateSurfaceError):
-            special_fiber_images(2, 5, 5, 5)
-        with pytest.raises(DegenerateSurfaceError):
-            special_fiber_images(2, 0, 5, 5)
+            special_fiber_images(4, _surface(1, 2, 5), 5)
 
 
 class TestTruncationBounds:
@@ -148,18 +149,18 @@ class TestTruncationBounds:
 
 class TestCharacteristicPoints:
     def test_real_intervals(self):
-        pts = list(characteristic_points(-1, 1, 2, "real"))
+        pts = list(characteristic_points(-1, _surface(1, 2, "real"), "real"))
         # With d<0 only x with positive cubic lift; four interval samples,
         # two of which survive.
         assert {t for _, t in pts} == {(0, 0, 0), (0, 1, 1)}
 
     def test_real_positive_d_samples_every_interval(self):
-        pts = list(characteristic_points(3, 1, 2, "real"))
+        pts = list(characteristic_points(3, _surface(1, 2, "real"), "real"))
         assert len(pts) == 4
 
     def test_triples_sum_to_zero(self):
         for d, e1, e2, place in [(2, 1, 2, 5), (-1, 1, 5, 2), (-1, 1, 2, "real")]:
-            for _, t in characteristic_points(d, e1, e2, place):
+            for _, t in characteristic_points(d, _surface(e1, e2, place), place):
                 assert sum(t) % 2 == 0
 
     def test_far_samples_stabilize(self):
@@ -181,29 +182,30 @@ class TestCharacteristicPoints:
 
     def test_split_d_rejected(self):
         with pytest.raises(ValueError, match="local square"):
-            list(characteristic_points(4, 1, 2, 5))
+            list(characteristic_points(4, _surface(1, 2, 5), 5))
 
 
 class TestCharacteristicSubgroup:
     def test_dyadic_full_plane(self):
-        sub = characteristic_subgroup(-1, 1, 5, 2)
+        sub = characteristic_subgroup(-1, _surface(1, 5, 2), 2)
         assert sub.basis == ((1, 0, 1), (0, 1, 1))
         assert sub.order == 4
 
     def test_dyadic_order_two(self):
-        sub = characteristic_subgroup(-1, 1, 9, 2)
+        sub = characteristic_subgroup(-1, _surface(1, 9, 2), 2)
         assert sub.basis == ((0, 1, 1),)
         assert sub.order == 2
 
     def test_buffer_does_not_change_span(self):
         # the flat-sweep oracle, tight and widened, spans what the balls span
         for d, e1, e2, place in [(2, 1, 2, 5), (-1, 1, 9, 2)]:
-            balls = characteristic_subgroup(d, e1, e2, place)
-            assert balls == flat_sweep.characteristic_subgroup(d, e1, e2, place)
-            assert balls == flat_sweep.characteristic_subgroup(d, e1, e2, place, buffer=1)
+            surf = _surface(e1, e2, place)
+            balls = characteristic_subgroup(d, surf, place)
+            assert balls == flat_sweep.characteristic_subgroup(d, surf, place)
+            assert balls == flat_sweep.characteristic_subgroup(d, surf, place, buffer=1)
 
     def test_subgroup_in_sum_zero_plane(self):
-        sub = characteristic_subgroup(5, 1, 6, 5)
+        sub = characteristic_subgroup(5, _surface(1, 6, 5), 5)
         for t in sub.elements():
             assert sum(t) % 2 == 0
 
@@ -257,7 +259,7 @@ class TestLocalChow:
         rep = local_chow(-1, 0, 1, 2, 2)
         assert rep.place == 2
         assert rep.ext_class.kind is ExtKind.RAMIFIED
-        assert (rep.ext_class.conductor_n, rep.ext_class.stability_m) == (1, 2)
+        assert rep.ext_class.conductor_n == 1
         assert rep.case_label == "Prop3-iii"
         assert rep.predicted_order == 4
         # global coordinates: slot i tracks root c_i of the input tuple
@@ -349,7 +351,7 @@ class TestBallEnumerator:
         for heavy in (False, True):
             for d, surf, p in _directed_surfaces(31, 6, heavy=heavy):
                 e1, e2 = surf.e1, surf.e2
-                for x, t in characteristic_points(d, e1, e2, p):
+                for x, t in characteristic_points(d, surf, p):
                     x = Fraction(x)
                     assert t == (chi(d, x, p), chi(d, x - e1, p), chi(d, x - e2, p))
                     assert sum(t) % 2 == 0
@@ -377,7 +379,7 @@ class TestBallEnumerator:
             for d, surf, p in _directed_surfaces(33, 6, heavy=heavy):
                 e1, e2 = surf.e1, surf.e2
                 m = classify_extension(d, p).conductor_n
-                images = special_fiber_images(d, e1, e2, p)[1:]
+                images = special_fiber_images(d, surf, p)[1:]
                 big_d = valuation(e1 - e2, p)
                 for e, image, far in zip((0, e1, e2), images, (surf.r, big_d, big_d)):
                     for j in range(far + m + 1, far + m + 5):
@@ -392,8 +394,8 @@ class TestBallEnumerator:
         for family in ("Prop3-i", "Prop3-ii", "Prop3-iii") * 2:
             d, roots, p = random_surface(rng, family, heavy=True)
             surf = normalize_roots(*roots, p)
-            assert characteristic_subgroup(d, surf.e1, surf.e2, p) == (
-                flat_sweep.characteristic_subgroup(d, surf.e1, surf.e2, p)
+            assert characteristic_subgroup(d, surf, p) == (
+                flat_sweep.characteristic_subgroup(d, surf, p)
             ), (family, d, roots)
 
     @pytest.mark.parametrize("p", [11, 13])
@@ -414,8 +416,8 @@ class TestBallEnumerator:
         n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
         d = p * n if ramified else n
         surf = normalize_roots(*shape(p, n), p)
-        assert characteristic_subgroup(d, surf.e1, surf.e2, p) == (
-            flat_sweep.characteristic_subgroup(d, surf.e1, surf.e2, p)
+        assert characteristic_subgroup(d, surf, p) == (
+            flat_sweep.characteristic_subgroup(d, surf, p)
         )
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -442,8 +444,9 @@ class TestBallEnumerator:
                     e1 = u1 * Fraction(p) ** r
                     e2 = e1 + u2 * Fraction(p) ** (r + gap)
                     assert valuation(e2, p) == r and valuation(e1 - e2, p) == r + gap
-                    assert characteristic_subgroup(d, e1, e2, p) == (
-                        flat_sweep.characteristic_subgroup(d, e1, e2, p)
+                    surf = _surface(e1, e2, p)
+                    assert characteristic_subgroup(d, surf, p) == (
+                        flat_sweep.characteristic_subgroup(d, surf, p)
                     ), (d, e1, e2, p)
                     compared += 1
         assert compared >= 10
@@ -457,13 +460,14 @@ class TestBallEnumerator:
                     e1 = 3 * Fraction(p) ** r
                     e2 = e1 + 5 * Fraction(p) ** (r + gap)
                     with wall_clock_guard(5):
-                        points = list(characteristic_points(d, e1, e2, p))
+                        points = list(characteristic_points(d, _surface(e1, e2, p), p))
                     assert len(points) <= 2 * (gap + 2), (d, e1, e2, len(points))
 
     def test_work_grows_linearly_with_root_congruence(self):
         # conductor-2 class, e2 = 1 + 2^k: the flat sweep grew as 2^k
         counts = [
-            len(list(characteristic_points(2, 1, 1 + 2**k, 2))) for k in (10, 20, 30)
+            len(list(characteristic_points(2, _surface(1, 1 + 2**k, 2), 2)))
+            for k in (10, 20, 30)
         ]
         assert counts[2] - counts[1] == counts[1] - counts[0]
         assert counts[2] < 4 * counts[0]
@@ -492,6 +496,20 @@ class TestRegressions:
         assert rep.case_label == label
         assert rep.predicted_order == rep.subgroup.order == 2 ** len(basis)
         assert rep.subgroup.basis == basis
+
+    @pytest.mark.parametrize(
+        "d,place",
+        [(-1, 2), (2, 2), (2, 5), (5, 5), (-1, "real"), (4, "real")],
+    )
+    def test_char_at_zero_raises_within_guard(self, d, place):
+        # the dyadic and odd evaluators looped forever on t = 0
+        evaluate = norm_char_fn(Fraction(d), place)
+        with wall_clock_guard(5):
+            for zero in (0, Fraction(0)):
+                with pytest.raises(ValueError, match="chi is undefined at zero"):
+                    evaluate(zero)
+                with pytest.raises(ValueError, match="chi is undefined at zero"):
+                    chi(d, zero, place)
 
     def test_global_with_large_unramified_place_within_guard(self):
         with wall_clock_guard(5):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flat_sweep
 from chatelet import (
     REAL_PLACE,
     ExtKind,
@@ -16,7 +17,6 @@ from chatelet import (
     conductor_n,
     hilbert_symbol,
     norm_char_fn,
-    stability_modulus,
     valuation,
 )
 
@@ -42,22 +42,23 @@ class TestClassifyExtension:
     def test_real_kinds(self):
         assert classify_extension(3, REAL_PLACE).kind is ExtKind.SPLIT
         assert classify_extension(-3, REAL_PLACE) == QuadExtClass(
-            ExtKind.RAMIFIED, conductor_n=0, stability_m=0
+            ExtKind.RAMIFIED, conductor_n=0
         )
 
     def test_dyadic_conductors(self):
-        assert classify_extension(-1, 2) == QuadExtClass(ExtKind.RAMIFIED, 1, 2)
-        assert classify_extension(2, 2) == QuadExtClass(ExtKind.RAMIFIED, 2, 3)
-        assert classify_extension(-2, 2) == QuadExtClass(ExtKind.RAMIFIED, 2, 3)
-        assert classify_extension(-5, 2) == QuadExtClass(ExtKind.RAMIFIED, 1, 2)
+        assert classify_extension(-1, 2) == QuadExtClass(ExtKind.RAMIFIED, 1)
+        assert classify_extension(2, 2) == QuadExtClass(ExtKind.RAMIFIED, 2)
+        assert classify_extension(-2, 2) == QuadExtClass(ExtKind.RAMIFIED, 2)
+        assert classify_extension(-5, 2) == QuadExtClass(ExtKind.RAMIFIED, 1)
 
     def test_stability_moduli(self):
-        assert stability_modulus(classify_extension(2, 5)) == 0
-        assert stability_modulus(classify_extension(5, 5)) == 1
-        assert stability_modulus(classify_extension(-1, 2)) == 2
-        assert stability_modulus(classify_extension(2, 2)) == 3
+        # the window modulus of the flat-sweep oracle in tests/flat_sweep.py
+        assert flat_sweep.window_modulus(classify_extension(2, 5)) == 0
+        assert flat_sweep.window_modulus(classify_extension(5, 5)) == 1
+        assert flat_sweep.window_modulus(classify_extension(-1, 2)) == 2
+        assert flat_sweep.window_modulus(classify_extension(2, 2)) == 3
         with pytest.raises(ValueError):
-            stability_modulus(classify_extension(4, 7))
+            flat_sweep.window_modulus(classify_extension(4, 7))
 
     def test_square_class_invariance(self):
         for d in (Fraction(-1), Fraction(5), Fraction(2)):

@@ -7,14 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatelet import (
-    INFINITY,
     REAL_PLACE,
     PrecisionError,
+    candidate_places,
+    chi,
+    classify_extension,
+    global_chow,
     hilbert_oracle,
     hilbert_symbol,
     is_local_square,
     is_rational_square,
     legendre,
+    local_chow,
+    norm_char_fn,
+    normalize_roots,
+    reciprocity_check,
     require_prime_place,
     square_class_units,
     suggested_oracle_precision,
@@ -26,6 +33,47 @@ nonzero_rationals = st.fractions(
     min_value=-400, max_value=400, max_denominator=360
 ).filter(lambda r: r != 0)
 places = st.sampled_from([REAL_PLACE, 2, 3, 5, 7, 11, 13])
+
+
+# Each entry point with one argument left open for an inexact value.
+_ENTRY_POINTS = {
+    "local_chow-d": lambda x: local_chow(x, 0, 1, 2, 5),
+    "local_chow-root": lambda x: local_chow(2, 0, x, 3, 5),
+    "local_chow-root-split": lambda x: local_chow(4, 0, x, 3, 5),
+    "global_chow-d": lambda x: global_chow(x, 0, 1, 2),
+    "global_chow-root": lambda x: global_chow(-1, 0, x, 2),
+    "candidate_places-d": lambda x: candidate_places(x, 0, 1, 2),
+    "candidate_places-root": lambda x: candidate_places(-1, 0, x, 2),
+    "reciprocity_check-a": lambda x: reciprocity_check(x, 5),
+    "reciprocity_check-b": lambda x: reciprocity_check(3, x),
+    "normalize_roots": lambda x: normalize_roots(0, x, 2, 5),
+    "chi-d": lambda x: chi(x, 3, 5),
+    "chi-x": lambda x: chi(2, x, 5),
+    "chi-x-dyadic": lambda x: chi(-1, x, 2),
+    "chi-x-real": lambda x: chi(4, x, REAL_PLACE),
+    "classify_extension": lambda x: classify_extension(x, 5),
+}
+
+
+class TestExactRationalInputs:
+    """Library entry points take an int or a Fraction; anything else is a
+    TypeError, never a silent conversion."""
+
+    @pytest.mark.parametrize("value", [0.5, "3"], ids=["float", "str"])
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_inexact_value_raises_type_error(self, entry, value):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            _ENTRY_POINTS[entry](value)
+
+    def test_cached_equal_fraction_does_not_admit_a_float(self):
+        # 0.5 == Fraction(1, 2) with the same hash: the caches must not
+        # answer for the float from the Fraction's entry
+        classify_extension(Fraction(1, 2), 5)
+        norm_char_fn(Fraction(1, 2), 5)
+        with pytest.raises(TypeError):
+            classify_extension(0.5, 5)
+        with pytest.raises(TypeError):
+            norm_char_fn(0.5, 5)
 
 
 class TestValuation:
@@ -40,18 +88,10 @@ class TestValuation:
         assert valuation(Fraction(9, 5), 3) == 2
         assert valuation(Fraction(-7, 49), 7) == -1
 
-    def test_zero_is_infinite(self):
-        v = valuation(0, 7)
-        assert v is INFINITY
-        assert v > 10**9
-        assert not v < 0
-
-    def test_infinity_ordering(self):
-        assert INFINITY == INFINITY
-        assert not INFINITY > INFINITY
-        assert INFINITY >= 0
-        with pytest.raises(ArithmeticError):
-            -INFINITY
+    def test_zero_raises(self):
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ValueError, match="valuation of zero"):
+                valuation(zero, 7)
 
     def test_ultrametric(self):
         for a, b in ((12, 45), (Fraction(5, 8), Fraction(7, 8)), (9, 18)):
