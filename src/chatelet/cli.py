@@ -232,10 +232,6 @@ def _run_local(args) -> Tuple[Dict, List[str], bool]:
             "place": _place_json(args.p),
         },
         "result": _local_json(report),
-        # a failed cross-check raises ContradictionError: exit 4, nothing printed
-        "checks": [
-            {"name": "classifier-vs-enumerator", "ok": True},
-        ],
     }
     return payload, _local_text(report), True
 
@@ -249,15 +245,6 @@ def _run_global(args) -> Tuple[Dict, List[str], bool]:
             "roots": [_rational_json(c) for c in args.roots],
         },
         "result": _global_json(report),
-        "checks": [
-            # a failed cross-check raises ContradictionError: exit 4, nothing printed
-            {"name": "classifier-vs-enumerator", "ok": True},
-            {
-                "name": "sampled-prime-triviality",
-                "ok": True,
-                "runs": len(report.sampled_primes),
-            },
-        ],
     }
     return payload, _global_text(report), True
 
@@ -272,7 +259,6 @@ def _run_symbol(args) -> Tuple[Dict, List[str], bool]:
             "place": _place_json(args.p),
         },
         "result": value,
-        "checks": [],
     }
     return payload, [str(value)], True
 

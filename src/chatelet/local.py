@@ -25,7 +25,6 @@ from .padic import (
     Place,
     Rational,
     _as_fraction,
-    require_prime_place,
     valuation,
 )
 
@@ -215,14 +214,25 @@ def characteristic_points(
     * A ball close to a single root e, with min(v(b - e), k) > v(e - e') + m
       for both other roots e', has chi(x - e') = chi(e - e') throughout; an
       even sum then forces the special-fiber image of e, so it is dropped.
-    * Any other ball is split into its p children.  At level D + 2m + 1 every
-      ball is resolved or dropped, so the work is O(p^(m+1) (D - r + 2m)).
-    * If Q_p(sqrt(d)) is unramified, chi(x) = v(x) mod 2 ignores units.  A
-      child of a split ball b + p^k Z_p that holds no root has v(x - e) = k
-      for each root e in the parent and v(x - e) = v(b - e) for the others,
-      so all such children share one triple: only the children holding a
-      root and one rootless child are kept.  The work is then O(D - r + 2),
-      independent of p.
+    * Any other ball is split, and one rule picks its children.  At m >= 1
+      (ramified p = 2) it keeps both.  At m = 0 (every odd p, and unramified
+      p = 2) it keeps the children that hold a root; a rootless child
+      b + j p^k is resolved at once.  Its triple is a constant (from the
+      roots e outside the ball, where x - e keeps the unit class of b - e)
+      plus leg(j - a_e) for each root e inside, a_e the residue of
+      (e - b) / p^k, where chi reads units (v_p(d) odd); it is constant
+      where chi does not.  With s distinct a_e, at most 2^s triples occur
+      (one if chi ignores units).  The rootless children are scanned in
+      order, each new triple is yielded if its sum is even, and the scan
+      stops once all of them have been seen: no later child brings a new one.
+    * Balls visited, with no factor p: levels run from r - m to D + 2m + 1,
+      where every ball is resolved or dropped.  Each level keeps at most
+      three balls at m = 0 and 3 * 2^(m+1) at ramified p = 2.  An unramified
+      place evaluates one rootless child per split ball.  At ramified odd p
+      the rootless scan ends once every possible triple has shown up: by the
+      Weil bound on sum_j leg(f(j)) that happens within p children for every
+      p past a small bound, and in practice within a few dozen; at small p,
+      where some triple never occurs, it scans all p.
 
     The real place yields one sample per interval cut out by {0, e1, e2}.
     """
@@ -241,7 +251,7 @@ def characteristic_points(
     if ext.kind is ExtKind.SPLIT:
         raise ValueError("d is a local square; nothing to enumerate")
     m = ext.conductor_n
-    unit_blind = ext.kind is ExtKind.UNRAMIFIED
+    reads_units = ext.kind is ExtKind.RAMIFIED
     r = surface.r
     # x -> p^(2s) x multiplies by a square, so the triples do not change, and
     # it makes the start ball p^(r - m) Z_p integral.
@@ -278,13 +288,23 @@ def characteristic_points(
                 if k >= drop[i] and (b - roots[i]) % drop_mod[i] == 0:
                     continue
             split = range(b, b + p * step, step)
-            if unit_blind:
-                # the rootless children share one triple: keep one of them
-                held = sorted({roots[i] % (p * step) for i in near})
-                far = next((x for x in split if x not in held), None)
-                children.extend(held if far is None else held + [far])
-            else:
+            if m:
                 children.extend(split)
+                continue
+            held = {roots[i] % (p * step) for i in near}
+            children.extend(held)
+            patterns = 2 ** len(held) if reads_units else 1
+            seen = set()
+            for x in split:
+                if x in held:
+                    continue
+                t = (c(x), c(x - f1), c(x - f2))
+                if t not in seen:
+                    seen.add(t)
+                    if sum(t) % 2 == 0:
+                        yield (x if s == 0 else Fraction(x, square)), t
+                    if len(seen) == patterns:
+                        break
         balls = children
     if balls:
         raise ArithmeticError(f"{len(balls)} balls left unresolved at level {last}")
@@ -373,8 +393,6 @@ def local_chow(
 ) -> LocalReport:
     """Class group of degree-zero 0-cycles at one place, as a subgroup of (Z/2)^3
     in global root coordinates, cross-checked against the case classifier."""
-    if place != REAL_PLACE:
-        require_prime_place(place)
     ext = classify_extension(d, place)
     if ext.kind is ExtKind.SPLIT:
         _distinct_roots(c1, c2, c3)

@@ -19,7 +19,8 @@ from .padic import (
     _as_fraction,
     _nonzero,
     hilbert_symbol,
-    is_local_square,
+    legendre,
+    require_prime_place,
     unit_residue,
     valuation,
 )
@@ -61,22 +62,27 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     At p = 2 a ramified class has discriminant 4d (d = 3 mod 4, n = 1) or 8u
     (d = 2u, n = 2), so n = 1 + v_2(d) mod 2 (Serre, A Course in Arithmetic,
     ch. III).  Cached: local_chow, the enumerator and the classifier each ask
-    for the class of the same (d, place)."""
+    for the class of the same (d, place).  A finite place is checked here,
+    before d, so the cache holds one primality test per (d, place)."""
+    p = place if place == REAL_PLACE else require_prime_place(place)
     d = _nonzero(d, "d must be nonzero")
-    if place == REAL_PLACE:
+    if p == REAL_PLACE:
         if d > 0:
             return QuadExtClass(ExtKind.SPLIT)
         return QuadExtClass(ExtKind.RAMIFIED)  # conductor data unused here
-    p = place
-    if is_local_square(d, p):
-        return QuadExtClass(ExtKind.SPLIT)
+    v = valuation(d, p)
     if p != 2:
-        if valuation(d, p) % 2 == 0:
-            return QuadExtClass(ExtKind.UNRAMIFIED)
-        return QuadExtClass(ExtKind.RAMIFIED)
-    if valuation(d, 2) % 2 == 0 and unit_residue(d, 2, 3) == 5:
+        if v % 2 != 0:
+            return QuadExtClass(ExtKind.RAMIFIED)
+        if legendre(unit_residue(d, p, 1), p) == 0:
+            return QuadExtClass(ExtKind.SPLIT)
         return QuadExtClass(ExtKind.UNRAMIFIED)
-    return QuadExtClass(ExtKind.RAMIFIED, conductor_n=1 + valuation(d, 2) % 2)
+    u = unit_residue(d, 2, 3)
+    if v % 2 == 0 and u == 1:
+        return QuadExtClass(ExtKind.SPLIT)
+    if v % 2 == 0 and u == 5:
+        return QuadExtClass(ExtKind.UNRAMIFIED)
+    return QuadExtClass(ExtKind.RAMIFIED, conductor_n=1 + v % 2)
 
 
 def _square_class_int(x: Rational) -> int:

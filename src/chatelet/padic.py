@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 from .factorint import FactorizationError, is_prime
 
@@ -30,7 +30,6 @@ __all__ = [
     "is_rational_square",
     "legendre",
     "require_prime_place",
-    "square_class_units",
     "suggested_oracle_precision",
     "unit_residue",
     "valuation",
@@ -75,8 +74,16 @@ def _nonzero(r: Rational, message: str) -> Fraction:
     return r
 
 
+def _require_base(p: int) -> None:
+    """O(1) guard for valuation and unit_residue, whose division loops never
+    end for p = 1 or -1; full primality stays with require_prime_place."""
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"p must be an int >= 2, got {p!r}")
+
+
 def valuation(r: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational r."""
+    _require_base(p)
     r = _nonzero(r, "the valuation of zero is undefined")
     v = 0
     num = r.numerator
@@ -92,6 +99,7 @@ def valuation(r: Rational, p: int) -> int:
 
 def unit_residue(r: Rational, p: int, precision: int) -> int:
     """The unit part r / p^v(r) reduced mod p**precision (in [1, p**precision))."""
+    _require_base(p)
     r = _nonzero(r, "the unit residue of zero is undefined")
     if precision < 1:
         raise ValueError("precision must be >= 1")
@@ -119,7 +127,7 @@ def is_local_square(r: Rational, place: Place) -> bool:
     r = _nonzero(r, "squareness of zero is not classified")
     if place == REAL_PLACE:
         return r > 0
-    p = place
+    p = require_prime_place(place)
     v = valuation(r, p)
     if v % 2 != 0:
         return False
@@ -277,13 +285,3 @@ def hilbert_oracle(a: Rational, b: Rational, p: int, k: int) -> int:
             return 0
     return 1
 
-
-def square_class_units(p: int) -> Iterator[int]:
-    """Small integers covering the unit square classes of Q_p (handy for tests)."""
-    if p == 2:
-        yield from (1, 3, 5, 7)
-    else:
-        n = 2
-        while legendre(n, p) == 0:
-            n += 1
-        yield from (1, n)

@@ -6,6 +6,10 @@ w of a valuation window, plus deeper samples x = e_i + p^j * u near each
 finite degenerate fiber.  Its cost is about p^precision times the window, so
 call it only on small primes and shallow root congruences.  `buffer` widens
 the window and the residue precision; the span must not change with it.
+
+`all_children_subgroup` is a second reference: the ball enumerator with every
+split ball refined into all p of its children, so that the rule picking the
+children can be compared against it.  Its cost is linear in p.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from chatelet.local import (
     Subgroup3,
     Triple,
     _bits_triple,
+    _integral_residue,
     _triple_bits,
     normalize_roots,
     special_fiber_images,
@@ -126,21 +131,76 @@ def characteristic_points(
                     yield x, t
 
 
-def characteristic_subgroup(
-    d: Rational, surface: NormalizedSurface, place: Place, buffer: int = 0
-) -> Subgroup3:
-    """F2 span of the four degenerate fibers and every swept triple."""
+def all_children_points(
+    d: Rational, surface: NormalizedSurface, p: int
+) -> Iterator[Tuple[Rational, Triple]]:
+    """The ball enumerator of `chatelet.local.characteristic_points` at a
+    prime p, with every split ball refined into all p of its children."""
+    c = norm_char_fn(d, p)
+    ext = classify_extension(d, p)
+    if ext.kind is ExtKind.SPLIT:
+        raise ValueError("d is a local square; nothing to enumerate")
+    m = ext.conductor_n
+    r = surface.r
+    s = max(0, (m - r + 1) // 2)
+    r += 2 * s
+    big_d = valuation(surface.e1 - surface.e2, p) + 2 * s
+    last = big_d + 2 * m + 1
+    modulus = p ** (last + m + 2)
+    square = p ** (2 * s)
+    f1 = _integral_residue(surface.e1 * square, modulus)
+    f2 = _integral_residue(surface.e2 * square, modulus)
+    roots = (0, f1, f2)
+    drop = (r + m + 1, big_d + m + 1, big_d + m + 1)
+
+    balls = [0]
+    for k in range(r - m, last + 1):
+        near_mod = p ** max(k - m, 0)
+        step = p**k
+        children = []
+        for b in balls:
+            near = [i for i in (0, 1, 2) if (b - roots[i]) % near_mod == 0]
+            if not near:
+                t = (c(b), c(b - f1), c(b - f2))
+                if sum(t) % 2 == 0:
+                    yield (b if s == 0 else Fraction(b, square)), t
+                continue
+            if len(near) == 1:
+                i = near[0]
+                if k >= drop[i] and (b - roots[i]) % p ** drop[i] == 0:
+                    continue
+            children.extend(range(b, b + p * step, step))
+        balls = children
+    if balls:
+        raise ArithmeticError(f"{len(balls)} balls left unresolved at level {last}")
+
+
+def _span(d: Rational, surface: NormalizedSurface, place: Place, points) -> Subgroup3:
+    """F2 span of the four degenerate fibers and the triples of `points`."""
     rows = reduce_rows(
         _triple_bits(t) for t in special_fiber_images(d, surface, place)
     )
     if len(rows) < 2:
-        for _, t in characteristic_points(d, surface.e1, surface.e2, place, buffer):
+        for _, t in points:
             b = _triple_bits(t)
             if not member(b, rows):
                 rows = reduce_rows(rows + [b])
                 if len(rows) == 2:
                     break
     return Subgroup3(tuple(_bits_triple(b) for b in rows))
+
+
+def characteristic_subgroup(
+    d: Rational, surface: NormalizedSurface, place: Place, buffer: int = 0
+) -> Subgroup3:
+    """F2 span of the four degenerate fibers and every swept triple."""
+    points = characteristic_points(d, surface.e1, surface.e2, place, buffer)
+    return _span(d, surface, place, points)
+
+
+def all_children_subgroup(d: Rational, surface: NormalizedSurface, p: int) -> Subgroup3:
+    """F2 span of the four degenerate fibers and every all-children triple."""
+    return _span(d, surface, p, all_children_points(d, surface, p))
 
 
 def oracle_mismatches(rng: random.Random, count: int) -> List[str]:

@@ -1,14 +1,13 @@
 """Local classifier and enumerator: normalization, fibers, ball refinement, reports."""
 
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 import chatelet.local
 import flat_sweep
+from guards import wall_clock_guard
 from chatelet import (
     ContradictionError,
     DegenerateSurfaceError,
@@ -30,21 +29,6 @@ from chatelet import (
 )
 from chatelet.checks import _ENUMERABLE_FAMILIES
 from chatelet.padic import valuation
-
-@contextmanager
-def wall_clock_guard(seconds):
-    """Interrupt the body with TimeoutError once `seconds` of wall time pass."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"exceeded the {seconds} s wall-clock guard")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestNormalizeRoots:
@@ -318,6 +302,10 @@ class TestLocalChow:
         with pytest.raises(ValueError, match="place must be a prime or 'real'"):
             local_chow(2, 0, 1, 3, place)
 
+    def test_bad_place_named_before_zero_d(self):
+        with pytest.raises(ValueError, match="place must be a prime or 'real'"):
+            local_chow(0, 0, 1, 2, 9)
+
     def test_contradiction_is_raised(self, monkeypatch):
         # Force the classifier to predict the wrong order; the cross-check
         # must refuse to return a report.
@@ -463,6 +451,63 @@ class TestBallEnumerator:
                         points = list(characteristic_points(d, _surface(e1, e2, p), p))
                     assert len(points) <= 2 * (gap + 2), (d, e1, e2, len(points))
 
+    @pytest.mark.parametrize("p", [q for q in range(3, 62, 2) if all(q % t for t in range(3, q, 2))])
+    def test_child_rule_matches_all_children_at_ramified_odd_p(self, p):
+        # Prop2-i/ii/iii with r from -1 to 1 and D - r from 0 to 3: e1 = u p^r
+        # for a residue and a nonresidue u, and d = p, p n, n / p (v_p(d) odd)
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        labels = set()
+        for d in (p, p * n, Fraction(n, p)):
+            for u in (1, n):
+                for r in (-1, 0, 1):
+                    for gap in range(4):
+                        e1 = u * Fraction(p) ** r
+                        e2 = e1 + Fraction(p) ** (r + gap) if gap else 2 * e1
+                        surf = _surface(e1, e2, p)
+                        assert valuation(e1 - e2, p) - surf.r == gap
+                        labels.add(classify_case(d, surf, p)[0])
+                        assert characteristic_subgroup(d, surf, p) == (
+                            flat_sweep.all_children_subgroup(d, surf, p)
+                        ), (d, e1, e2, p)
+                        # the rule yields a subset of the points, and every
+                        # triple that occurs
+                        kept = set(characteristic_points(d, surf, p))
+                        full = set(flat_sweep.all_children_points(d, surf, p))
+                        assert kept <= full, (d, e1, e2, p)
+                        assert {t for _, t in kept} == {t for _, t in full}, (d, e1, e2, p)
+        assert labels == {"Prop2-i", "Prop2-ii", "Prop2-iii"}
+
+    @pytest.mark.parametrize("p", [1000000007, 1000000000039])
+    def test_ramified_work_is_independent_of_p(self, p, monkeypatch):
+        # each split ball yields at most one point per triple, 2^s for s
+        # distinct roots held, so at most 8 per level; the scan of rootless
+        # children stops after a few dozen, where refining every split ball
+        # into all p children took about 3p evaluations
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        evaluations = [0]
+        char_fn = chatelet.local.norm_char_fn
+
+        def counted(d, place):
+            ev = char_fn(d, place)
+
+            def count(x):
+                evaluations[0] += 1
+                return ev(x)
+
+            return count
+
+        monkeypatch.setattr(chatelet.local, "norm_char_fn", counted)
+        for d in (p, p * n, Fraction(n, p)):
+            for r in (-1, 0, 1, 2):
+                for gap in range(5):
+                    e1 = 3 * Fraction(p) ** r
+                    e2 = e1 + 5 * Fraction(p) ** (r + gap)
+                    evaluations[0] = 0
+                    with wall_clock_guard(5):
+                        points = list(characteristic_points(d, _surface(e1, e2, p), p))
+                    assert len(points) <= 8 * (gap + 2), (d, e1, e2, len(points))
+                    assert evaluations[0] <= 1000, (d, e1, e2, evaluations[0])
+
     def test_work_grows_linearly_with_root_congruence(self):
         # conductor-2 class, e2 = 1 + 2^k: the flat sweep grew as 2^k
         counts = [
@@ -488,6 +533,8 @@ class TestRegressions:
             # unramified: each of the ~p residue balls was evaluated
             (-1, (0, 1, 999984), 999983, "Prop1-ii", ((0, 1, 1),)),
             (3, (0, 1, 2), 1000003, "Prop1-i", ()),
+            # ramified odd p: each split ball was refined into all p children
+            (999983, (0, 1, 999984), 999983, "Prop2-i", ((0, 1, 1),)),
         ],
     )
     def test_finishes_within_guard(self, d, roots, p, label, basis):
@@ -523,4 +570,20 @@ class TestRegressions:
             83: ((1, 0, 1),),
             251: ((1, 0, 1),),
             999983: ((0, 1, 1),),
+        }
+
+    def test_global_with_large_ramified_place_within_guard(self):
+        with wall_clock_guard(5):
+            rep = global_chow(-1000003, 0, 1, 1000004)
+        assert rep.kernel_dim == 1
+        assert rep.checked_places == ("real", 2, 53, 89, 1000003)
+        nontrivial = {
+            v.place: (v.case_label, v.subgroup.basis)
+            for v in rep.local_reports
+            if v.subgroup.basis
+        }
+        assert nontrivial == {
+            "real": ("Real-d-negative", ((0, 1, 1),)),
+            2: ("Prop1-ii", ((1, 0, 1),)),
+            1000003: ("Prop2-i", ((0, 1, 1),)),
         }

@@ -16,6 +16,7 @@ from chatelet import (
     classify_extension,
     conductor_n,
     hilbert_symbol,
+    is_local_square,
     norm_char_fn,
     valuation,
 )
@@ -71,6 +72,28 @@ class TestClassifyExtension:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             classify_extension(0, 5)
+
+    @pytest.mark.parametrize("d,place", [(2, 9), (3, 15), (2, 1), (0, 9), (2, "foo")])
+    def test_bad_place_rejected(self, d, place):
+        # the place is checked before d, so d = 0 at 9 names the place
+        with pytest.raises(ValueError, match="place must be a prime or 'real'"):
+            classify_extension(d, place)
+
+    def test_kinds_match_symbols(self):
+        # split iff d is a local square; unramified iff chi is trivial on
+        # units without being trivial
+        units = lambda p: [u for u in range(1, 8 * p) if u % p]
+        for p in (2, 3, 5, 7, 11, 13):
+            for num in range(-24, 25):
+                for den in (1, 2, 3, 4, 25):
+                    if num == 0:
+                        continue
+                    d = Fraction(num, den)
+                    kind = classify_extension(d, p).kind
+                    assert (kind is ExtKind.SPLIT) == is_local_square(d, p), (d, p)
+                    if kind is not ExtKind.SPLIT:
+                        blind = all(hilbert_symbol(d, u, p) == 0 for u in units(p))
+                        assert (kind is ExtKind.UNRAMIFIED) == blind, (d, p)
 
 
 class TestChi:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guards import wall_clock_guard
 from chatelet import (
     REAL_PLACE,
     PrecisionError,
@@ -23,7 +24,6 @@ from chatelet import (
     normalize_roots,
     reciprocity_check,
     require_prime_place,
-    square_class_units,
     suggested_oracle_precision,
     unit_residue,
     valuation,
@@ -33,6 +33,13 @@ nonzero_rationals = st.fractions(
     min_value=-400, max_value=400, max_denominator=360
 ).filter(lambda r: r != 0)
 places = st.sampled_from([REAL_PLACE, 2, 3, 5, 7, 11, 13])
+
+
+def square_class_units(p):
+    """Small integers covering the unit square classes of Q_p."""
+    if p == 2:
+        return (1, 3, 5, 7)
+    return (1, next(n for n in range(2, p) if legendre(n, p)))
 
 
 # Each entry point with one argument left open for an inexact value.
@@ -93,6 +100,15 @@ class TestValuation:
             with pytest.raises(ValueError, match="valuation of zero"):
                 valuation(zero, 7)
 
+    @pytest.mark.parametrize("p", [1, -1, 0, -5, 2.0, Fraction(5), "5"])
+    def test_bad_base_raises_within_guard(self, p):
+        # p = 1 and -1 looped forever, and p = 0 divided by zero
+        with wall_clock_guard(5):
+            with pytest.raises(ValueError, match="p must be an int >= 2"):
+                valuation(5, p)
+            with pytest.raises(ValueError, match="p must be an int >= 2"):
+                unit_residue(5, p, 1)
+
     def test_ultrametric(self):
         for a, b in ((12, 45), (Fraction(5, 8), Fraction(7, 8)), (9, 18)):
             for p in (2, 3, 5):
@@ -141,6 +157,11 @@ class TestSquareness:
         assert is_local_square(9, REAL_PLACE)
         assert not is_local_square(-9, REAL_PLACE)
         assert not is_local_square(18, 2)
+
+    @pytest.mark.parametrize("place", [9, 15, 1, -3])
+    def test_local_bad_place_rejected(self, place):
+        with pytest.raises(ValueError, match="place must be a prime or 'real'"):
+            is_local_square(2, place)
 
     def test_local_zero_rejected(self):
         with pytest.raises(ValueError):
