@@ -32,7 +32,6 @@ from .padic import (
     is_local_square,
     legendre,
     suggested_oracle_precision,
-    valuation,
 )
 
 __all__ = [
@@ -426,7 +425,7 @@ def check_sampled_membership(rng: random.Random, count: int = 200) -> SuiteResul
         ext = classify_extension(d, p)
         enumerated = characteristic_subgroup(d, surface, p)
         m = ext.conductor_n
-        deepest = valuation(e1 - e2, p) + 2 * m + 3
+        deepest = surface.big_d + 2 * m + 3
         samples = [_signed_unit(rng, p) * Fraction(p) ** j for j in range(r - m - 3, r - m)]
         for e in (0, e1, e2):
             for j in range(r - m, deepest + 1):

@@ -199,9 +199,8 @@ def _global_text(report: GlobalReport) -> List[str]:
             )
     else:
         lines.append("nontrivial local groups: none")
-    lines.append(
-        "checked places: " + ", ".join(str(v) for v in report.checked_places)
-    )
+    checked = ", ".join(str(v) for v in report.checked_places)
+    lines.append(f"checked places: {checked or 'none'}")
     sampled = ", ".join(str(q) for q in report.sampled_primes)
     lines.append(f"sampled non-candidate primes (all trivial): {sampled or 'none'}")
     return lines

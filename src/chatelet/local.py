@@ -101,17 +101,22 @@ TRIVIAL_SUBGROUP = Subgroup3(())
 
 @dataclass(frozen=True)
 class NormalizedSurface:
-    """Roots shifted to x (x - e1) (x - e2) form with v(e1) = v(e2) = r.
+    """Roots shifted to x (x - e1) (x - e2) form with v(e1) = v(e2) = r and
+    big_d = v(e1 - e2); both are 0 at the real place.
 
     perm maps the local fiber slots (0-fiber, e1-fiber, e2-fiber) to 1-based
-    original root indices; base_root_index is the root moved to 0.
+    original root indices; base_root_index, perm[0], is the root moved to 0.
     """
 
     e1: Fraction
     e2: Fraction
     r: int
-    base_root_index: int
+    big_d: int
     perm: Tuple[int, int, int]
+
+    @property
+    def base_root_index(self) -> int:
+        return self.perm[0]
 
 
 @dataclass(frozen=True)
@@ -145,16 +150,18 @@ def normalize_roots(c1: Rational, c2: Rational, c3: Rational, place: Place) -> N
         i, j, k = sorted(range(3), key=lambda t: roots[t])
         e1 = roots[j] - roots[i]
         e2 = roots[k] - roots[i]
-        return NormalizedSurface(e1, e2, 0, i + 1, (i + 1, j + 1, k + 1))
+        return NormalizedSurface(e1, e2, 0, 0, (i + 1, j + 1, k + 1))
     p = place
+    # roots[j] - roots[i] (i < j) sits at i + j - 1; with base i, D is at 2 - i
+    diffs = (roots[1] - roots[0], roots[2] - roots[0], roots[2] - roots[1])
+    vals = tuple(valuation(t, p) for t in diffs)
     for i in range(3):
         j, k = (t for t in range(3) if t != i)
-        if valuation(roots[j] - roots[i], p) == valuation(roots[k] - roots[i], p):
-            e1 = roots[j] - roots[i]
-            e2 = roots[k] - roots[i]
-            return NormalizedSurface(
-                e1, e2, valuation(e1, p), i + 1, (i + 1, j + 1, k + 1)
-            )
+        a, b = i + j - 1, i + k - 1
+        if vals[a] == vals[b]:
+            e1 = diffs[a] if i < j else -diffs[a]
+            e2 = diffs[b] if i < k else -diffs[b]
+            return NormalizedSurface(e1, e2, vals[a], vals[2 - i], (i + 1, j + 1, k + 1))
     raise ArithmeticError("no valid base root; the ultrametric inequality failed?")
 
 
@@ -162,21 +169,14 @@ def special_fiber_images(
     d: Rational, surface: NormalizedSurface, place: Place
 ) -> Tuple[Triple, ...]:
     """Classes of the four degenerate fibers x = infinity, 0, e1, e2 of the
-    normalized surface (local slot coordinates)."""
+    normalized surface (local slot coordinates), from m = chi(-1), a = chi(e1),
+    b = chi(e2) and g = chi(e1 - e2) as chi is additive: (0, 0, 0),
+    (a + b, m + a, m + b), (a, a + g, g) and (b, m + g, m + b + g) over F2."""
     if classify_extension(d, place).kind is ExtKind.SPLIT:
         raise ValueError("d is a local square; the character is trivial here")
     c = norm_char_fn(d, place)
-    e1, e2 = surface.e1, surface.e2
-    fibers = (
-        (0, 0, 0),
-        (c(e1 * e2), c(-e1), c(-e2)),
-        (c(e1), c(e1 * (e1 - e2)), c(e1 - e2)),
-        (c(e2), c(e2 - e1), c(e2 * (e2 - e1))),
-    )
-    for t in fibers:
-        if sum(t) % 2 != 0:
-            raise ArithmeticError(f"special fiber triple {t} does not sum to zero")
-    return fibers
+    m, a, b, g = c(-1), c(surface.e1), c(surface.e2), c(surface.e1 - surface.e2)
+    return ((0, 0, 0), (a ^ b, m ^ a, m ^ b), (a, a ^ g, g), (b, m ^ g, m ^ b ^ g))
 
 
 def _real_samples(e1: Fraction, e2: Fraction) -> Tuple[Fraction, ...]:
@@ -203,8 +203,8 @@ def characteristic_points(
     their characteristic triples (chi(x), chi(x - e1), chi(x - e2)).
 
     The roots are read from the surface, which normalize_roots has checked:
-    e1, e2 and r = v(e1) = v(e2).  At a prime p the x-line is refined into
-    balls b + p^k Z_p.  Let D = v(e1 - e2) and m the conductor exponent of
+    e1, e2, r = v(e1) = v(e2) and D = v(e1 - e2).  At a prime p the x-line is
+    refined into balls b + p^k Z_p.  Let m be the conductor exponent of
     Q_p(sqrt(d)), the radius of chi: chi(1 + t) = 0 whenever v(t) > m.
 
     * Every x with v(x) < r - m has triple (c, c, c); an even sum forces
@@ -257,7 +257,7 @@ def characteristic_points(
     # it makes the start ball p^(r - m) Z_p integral.
     s = max(0, (m - r + 1) // 2)
     r += 2 * s
-    big_d = valuation(e1 - e2, p) + 2 * s
+    big_d = surface.big_d + 2 * s
     last = big_d + 2 * m + 1
     # Integers congruent to the scaled roots far beyond every ball radius
     # stand in for them: closeness and the characters see the same values.
@@ -353,8 +353,7 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
     p = place
     if ext.kind is ExtKind.SPLIT:
         raise ValueError("d is a local square; no case to classify")
-    r = surface.r
-    big_d = valuation(surface.e1 - surface.e2, p)
+    r, big_d = surface.r, surface.big_d
     if ext.kind is ExtKind.UNRAMIFIED:
         if r % 2 != 0:
             return "Prop1-iii", 4
@@ -363,8 +362,8 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
         return "Prop1-ii", 2
     family = "Prop2" if p != 2 else "Prop3"
     depth = 1 if p != 2 else 2 * ext.conductor_n + 1
-    congruent = valuation(surface.e1 / surface.e2 - 1, p) >= depth
-    if not congruent:
+    # v(e1 / e2 - 1) = D - r
+    if big_d - r < depth:
         return f"{family}-iii", 4
     # the criterion reads chi(e1 / pi^r) for a norm uniformizer pi; chi(pi) = 0
     if chi(d, surface.e1, p) == 0:

@@ -119,11 +119,8 @@ def norm_char_fn(d: Rational, place: Place):
 
         def ev_dyadic(x) -> int:
             t = _square_class_int(x)
-            v = 0
-            while not t & 1:
-                t >>= 1
-                v += 1
-            return (c * v + table[t & 7]) % 2
+            v = (t & -t).bit_length() - 1
+            return (c * v + table[(t >> v) & 7]) % 2
 
         return ev_dyadic
     nonsquare_value = valuation(d, p) % 2

@@ -10,6 +10,11 @@ the window and the residue precision; the span must not change with it.
 `all_children_subgroup` is a second reference: the ball enumerator with every
 split ball refined into all p of its children, so that the rule picking the
 children can be compared against it.  Its cost is linear in p.
+
+`reference_normalize_roots` and `reference_special_fiber_images` are direct
+forms of `normalize_roots` and `special_fiber_images` in `chatelet.local`: a
+base-root loop that forms each difference and valuation anew, and the fiber
+images from nine character values on products and differences of the roots.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from chatelet.local import (
     Subgroup3,
     Triple,
     _bits_triple,
+    _distinct_roots,
     _integral_residue,
     _triple_bits,
     normalize_roots,
@@ -38,6 +44,40 @@ from chatelet.norms import (
     norm_char_fn,
 )
 from chatelet.padic import REAL_PLACE, Place, Rational, valuation
+
+
+def reference_normalize_roots(
+    c1: Rational, c2: Rational, c3: Rational, place: Place
+) -> Tuple[Fraction, Fraction, int, Tuple[int, int, int]]:
+    """(e1, e2, r, perm) by the least base index whose two incident
+    differences share a valuation, each difference formed anew."""
+    roots = _distinct_roots(c1, c2, c3)
+    if place == REAL_PLACE:
+        i, j, k = sorted(range(3), key=lambda t: roots[t])
+        return roots[j] - roots[i], roots[k] - roots[i], 0, (i + 1, j + 1, k + 1)
+    p = place
+    for i in range(3):
+        j, k = (t for t in range(3) if t != i)
+        if valuation(roots[j] - roots[i], p) == valuation(roots[k] - roots[i], p):
+            e1 = roots[j] - roots[i]
+            e2 = roots[k] - roots[i]
+            return e1, e2, valuation(e1, p), (i + 1, j + 1, k + 1)
+    raise ArithmeticError("no valid base root; the ultrametric inequality failed?")
+
+
+def reference_special_fiber_images(
+    d: Rational, surface: NormalizedSurface, place: Place
+) -> Tuple[Triple, ...]:
+    """The four degenerate-fiber images, chi evaluated on each product and
+    difference of the roots (nine values)."""
+    c = norm_char_fn(d, place)
+    e1, e2 = surface.e1, surface.e2
+    return (
+        (0, 0, 0),
+        (c(e1 * e2), c(-e1), c(-e2)),
+        (c(e1), c(e1 * (e1 - e2)), c(e1 - e2)),
+        (c(e2), c(e2 - e1), c(e2 * (e2 - e1))),
+    )
 
 
 def window_modulus(ext: QuadExtClass) -> int:

@@ -197,6 +197,7 @@ class TestGlobalCommand:
         out = capsys.readouterr().out
         assert "kernel dimension: 0" in out
         assert "(Z/2)^0" in out
+        assert "checked places: none\n" in out
 
     def test_factorization_exit(self, capsys):
         code = main(["global", "--d", HARD_COMPOSITE, "--roots", "0,1,2"])

@@ -1,5 +1,6 @@
 """Local classifier and enumerator: normalization, fibers, ball refinement, reports."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -40,7 +41,7 @@ class TestNormalizeRoots:
             e1=Fraction(-1),
             e2=Fraction(1),
             r=0,
-            base_root_index=2,
+            big_d=1,
             perm=(2, 1, 3),
         )
 
@@ -75,6 +76,19 @@ class TestNormalizeRoots:
         with pytest.raises(DegenerateSurfaceError):
             normalize_roots(*roots, 3)
 
+    @pytest.mark.parametrize("place", [2, 3, 5, "real"])
+    def test_matches_reference_on_small_triples(self, place):
+        # every ordered triple of distinct n / q, |n| <= 6, q in {1, 2, 3},
+        # so the three difference valuations are all equal or exactly two are
+        values = sorted({Fraction(n, q) for n in range(-6, 7) for q in (1, 2, 3)})
+        for roots in itertools.permutations(values, 3):
+            surf = normalize_roots(*roots, place)
+            expected = flat_sweep.reference_normalize_roots(*roots, place)
+            assert (surf.e1, surf.e2, surf.r, surf.perm) == expected, roots
+            big_d = 0 if place == "real" else valuation(surf.e1 - surf.e2, place)
+            assert surf.big_d == big_d, roots
+            assert surf.base_root_index == surf.perm[0]
+
 
 def _surface(e1, e2, place):
     """The normalized surface with roots 0, e1, e2: normalize_roots keeps e1
@@ -105,6 +119,18 @@ class TestSpecialFiberImages:
     def test_split_d_rejected(self):
         with pytest.raises(ValueError, match="local square"):
             special_fiber_images(4, _surface(1, 2, 5), 5)
+
+    @pytest.mark.parametrize("family", _ENUMERABLE_FAMILIES + ("Real-d-negative",))
+    def test_matches_nine_value_reference(self, family):
+        # the four-value form rests on chi being additive on e1 e2, -e1,
+        # e1 (e1 - e2), ...; the reference evaluates each of them
+        rng = random.Random(f"fibers:{family}")
+        for _ in range(100):
+            d, roots, place = random_surface(rng, family)
+            surf = normalize_roots(*roots, place)
+            assert special_fiber_images(d, surf, place) == (
+                flat_sweep.reference_special_fiber_images(d, surf, place)
+            ), (d, roots, place)
 
 
 class TestTruncationBounds:
@@ -249,7 +275,7 @@ class TestLocalChow:
         # global coordinates: slot i tracks root c_i of the input tuple
         assert rep.subgroup.basis == ((1, 0, 1), (0, 1, 1))
         assert rep.normalized == NormalizedSurface(
-            e1=Fraction(-1), e2=Fraction(1), r=0, base_root_index=2, perm=(2, 1, 3)
+            e1=Fraction(-1), e2=Fraction(1), r=0, big_d=1, perm=(2, 1, 3)
         )
 
     @pytest.mark.parametrize("d,roots,p,label,order", CLASSIFIER_CASES)
@@ -535,6 +561,9 @@ class TestRegressions:
             (3, (0, 1, 2), 1000003, "Prop1-i", ()),
             # ramified odd p: each split ball was refined into all p children
             (999983, (0, 1, 999984), 999983, "Prop2-i", ((0, 1, 1),)),
+            # the dyadic character removed factors of 2 one shift at a time
+            (2, (0, 1, 1 + 2**4000), 2, "Prop3-i", ((0, 1, 1),)),
+            (-1, (0, 1, 1 + 2**4000), 2, "Prop3-i", ((0, 1, 1),)),
         ],
     )
     def test_finishes_within_guard(self, d, roots, p, label, basis):
