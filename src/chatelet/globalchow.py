@@ -51,12 +51,18 @@ def _place_sort_key(place: Place) -> Tuple[int, int]:
 
 
 def _odd_prime_support(values: Iterable[Fraction]) -> set:
+    """Odd primes dividing a numerator or denominator of the values.  Each is
+    first divided by the primes already found, so a prime shared by several
+    values (P and Q in every root difference s - (s + aPQ)) is factored once."""
     primes: set = set()
     for value in values:
         for n in (value.numerator, value.denominator):
-            for p in factorize(n):
-                if p != 2:
-                    primes.add(p)
+            for p in primes:
+                while n % p == 0:
+                    n //= p
+            if n not in (1, -1):
+                primes.update(factorize(n))
+    primes.discard(2)
     return primes
 
 

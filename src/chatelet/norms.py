@@ -18,12 +18,15 @@ from .padic import (
     Rational,
     _as_fraction,
     _nonzero,
-    hilbert_symbol,
+    _valuation_and_unit,
     legendre,
     require_prime_place,
     unit_residue,
     valuation,
 )
+# The unchecked body under the public name, which the perfbench spans patch:
+# norm_char_fn checks its place once, through the cached classify_extension.
+from .padic import _hilbert_symbol as hilbert_symbol
 
 __all__ = [
     "ExtKind",
@@ -102,14 +105,16 @@ def norm_char_fn(d: Rational, place: Place):
     The returned callable accepts a nonzero int or Fraction; zero raises
     ValueError and any other type TypeError.  At odd p,
     (d, u)_p = (u/p)^v_p(d) for a unit u, so chi is nontrivial on units
-    exactly when v_p(d) is odd; only then is the unit class read, by Euler's
-    criterion, so a cached evaluator holds no table of residues."""
+    exactly when v_p(d) is odd, that is when the extension is ramified; only
+    then is the unit class read, by Euler's criterion, so a cached evaluator
+    holds no table of residues.  The place is checked once, by the cached
+    classify_extension."""
     d = _nonzero(d, "d must be nonzero")
+    ramified = classify_extension(d, place).kind is ExtKind.RAMIFIED
     if place == REAL_PLACE:
-        negative = d < 0
 
         def ev_real(x) -> int:
-            return 1 if _square_class_int(x) < 0 and negative else 0
+            return 1 if _square_class_int(x) < 0 and ramified else 0
 
         return ev_real
     p = place
@@ -123,16 +128,11 @@ def norm_char_fn(d: Rational, place: Place):
             return (c * v + table[(t >> v) & 7]) % 2
 
         return ev_dyadic
-    nonsquare_value = valuation(d, p) % 2
     half = (p - 1) // 2
 
     def ev_odd(x) -> int:
-        t = _square_class_int(x)
-        v = 0
-        while t % p == 0:
-            t //= p
-            v += 1
-        if nonsquare_value and pow(t, half, p) != 1:
+        v, t = _valuation_and_unit(_square_class_int(x), p)
+        if ramified and pow(t, half, p) != 1:
             return (c * v + 1) % 2
         return c * v % 2
 

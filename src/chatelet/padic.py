@@ -81,20 +81,33 @@ def _require_base(p: int) -> None:
         raise ValueError(f"p must be an int >= 2, got {p!r}")
 
 
+def _valuation_and_unit(n: int, p: int) -> Tuple[int, int]:
+    """(v, n / p^v) with v = v_p(n), for a nonzero int n and an int p >= 2.
+
+    One modulo decides the common v = 0.  Otherwise n is divided by p, p^2,
+    p^4, ... while they divide it, then by the same powers on the way back
+    down, so a valuation v costs O(log v) big-int divisions instead of v."""
+    if n % p:
+        return 0, n
+    n //= p
+    v = 1
+    powers = [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
+    return v, n
+
+
 def valuation(r: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational r."""
     _require_base(p)
     r = _nonzero(r, "the valuation of zero is undefined")
-    v = 0
-    num = r.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = r.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _valuation_and_unit(r.numerator, p)[0] - _valuation_and_unit(r.denominator, p)[0]
 
 
 def unit_residue(r: Rational, p: int, precision: int) -> int:
@@ -103,12 +116,8 @@ def unit_residue(r: Rational, p: int, precision: int) -> int:
     r = _nonzero(r, "the unit residue of zero is undefined")
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    num = r.numerator
-    while num % p == 0:
-        num //= p
-    den = r.denominator
-    while den % p == 0:
-        den //= p
+    num = _valuation_and_unit(r.numerator, p)[1]
+    den = _valuation_and_unit(r.denominator, p)[1]
     modulus = p**precision
     return num * pow(den, -1, modulus) % modulus
 
@@ -163,9 +172,16 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
     """
     a = _nonzero(a, "hilbert symbol needs nonzero arguments")
     b = _nonzero(b, "hilbert symbol needs nonzero arguments")
+    if place != REAL_PLACE:
+        require_prime_place(place)
+    return _hilbert_symbol(a, b, place)
+
+
+def _hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
+    """hilbert_symbol for nonzero a and b at a place the caller has checked."""
     if place == REAL_PLACE:
         return 1 if a < 0 and b < 0 else 0
-    p = require_prime_place(place)
+    p = place
     alpha = valuation(a, p)
     beta = valuation(b, p)
     if p == 2:
@@ -199,13 +215,7 @@ def _square_class_rep(r: Rational, p: int, k: int) -> Tuple[int, int]:
 
 
 def _int_valuation(x: int, p: int):
-    if x == 0:
-        return None
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    return None if x == 0 else _valuation_and_unit(x, p)[0]
 
 
 @lru_cache(maxsize=32)

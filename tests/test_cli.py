@@ -21,7 +21,8 @@ from chatelet.cli import (
     parse_roots,
 )
 
-HARD_COMPOSITE = "1000036000099"
+# a prime past psi_13, the Miller-Rabin witness limit: it cannot be certified
+UNCERTIFIABLE_PRIME = "10000000000000000000000013"
 
 
 class TestParsers:
@@ -200,9 +201,9 @@ class TestGlobalCommand:
         assert "checked places: none\n" in out
 
     def test_factorization_exit(self, capsys):
-        code = main(["global", "--d", HARD_COMPOSITE, "--roots", "0,1,2"])
+        code = main(["global", "--d", UNCERTIFIABLE_PRIME, "--roots", "0,1,2"])
         assert code == EXIT_FACTORIZATION
-        assert "trial division" in capsys.readouterr().err
+        assert "Miller-Rabin witness limit" in capsys.readouterr().err
 
     def test_seeded_sampling_is_deterministic(self, capsys):
         main(["global", "--d", "-1", "--roots", "0,1,2", "--format", "json"])

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import chatelet.factorint
 from chatelet import FactorizationError, factorize, is_prime
+from guards import wall_clock_guard
 
 # psi_12: the least strong pseudoprime to the twelve prime bases 2, ..., 37
 PSI_12 = 318665857834031151167461
@@ -43,8 +45,7 @@ class TestIsPrime:
         assert not is_prime(n)
 
     def test_psi_12_is_not_a_certified_cofactor(self):
-        with pytest.raises(FactorizationError):
-            factorize(PSI_12)
+        assert factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
 
     def test_matches_sympy_on_wide_integers(self):
         sympy = pytest.importorskip("sympy")
@@ -61,3 +62,57 @@ class TestIsPrime:
     def test_refuses_beyond_the_witness_limit(self):
         with pytest.raises(FactorizationError):
             is_prime(3317044064679887385961981)
+
+
+class TestFactorize:
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(8)
+
+        def prime_near(lo, hi):
+            return sympy.nextprime(rng.randrange(lo, hi))
+
+        cases = [1, -1, -360, 2**61 - 1]
+        for _ in range(8):
+            p = prime_near(10**5, 10**12)
+            cases += [p * prime_near(10**5, 10**9), -p * prime_near(10**5, 10**6)]
+        for _ in range(3):
+            p = prime_near(10**6 - 10**4, 10**6 + 10**4)
+            cases += [p**2, p**3, 6 * p**2]
+        for _ in range(4):
+            # smooth parts below the trial division bound and just past it
+            smooth = below = 1
+            for _ in range(8):
+                below *= prime_near(2, 1000)
+            for _ in range(3):
+                smooth *= prime_near(1000, 2000)
+            cases += [below * prime_near(10**14, 10**16), below * smooth * prime_near(10**11, 10**12)]
+        for n in cases:
+            expected = {int(p): e for p, e in sympy.factorint(abs(n)).items()}
+            assert factorize(n) == expected, n
+
+    def test_is_deterministic(self):
+        n = 1000003 * 1000033 * 10007**2
+        assert factorize(n) == factorize(n) == {10007: 2, 1000003: 1, 1000033: 1}
+
+    def test_semiprime_below_psi_13_within_guard(self):
+        # two primes near 1.8e12: n is just below psi_13, so rho may need its
+        # whole budget of 8 n^(1/4) evaluations
+        p, q = 1800000000047, 1800000000083
+        for f in (p, q):
+            assert is_prime(f)
+        assert p * q < 3317044064679887385961981
+        with wall_clock_guard(5):
+            try:
+                assert factorize(p * q) == {p: 1, q: 1}
+            except FactorizationError:
+                pass
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(chatelet.factorint, "_RHO_STEPS_PER_QUARTER_ROOT", 0)
+        with pytest.raises(FactorizationError, match="rho"):
+            factorize(1000036000099)
+
+    def test_refuses_an_uncertifiable_cofactor(self):
+        with pytest.raises(FactorizationError, match="witness limit"):
+            factorize(2**10 * 10000000000000000000000013)

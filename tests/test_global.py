@@ -19,8 +19,10 @@ from chatelet import (
 )
 from chatelet.cli import EXIT_OK, main
 
-# 1000003 * 1000033; both factors exceed the default trial division bound
-HARD_COMPOSITE = 1000036000099
+# a prime past psi_13, the Miller-Rabin witness limit: it cannot be certified
+UNCERTIFIABLE_PRIME = 10000000000000000000000013
+# 1000003 * 1000033: both factors lie past the trial division, so rho splits it
+RHO_SEMIPRIME = 1000036000099
 
 
 class TestCandidatePlaces:
@@ -52,13 +54,45 @@ class TestCandidatePlaces:
 
     def test_unfactorable_d(self):
         with pytest.raises(FactorizationError):
-            candidate_places(HARD_COMPOSITE, 0, 1, 2)
+            candidate_places(UNCERTIFIABLE_PRIME, 0, 1, 2)
 
-    def test_trial_division_bound_override(self, monkeypatch):
+    def test_shared_primes_are_factored_once(self, monkeypatch):
         from chatelet.factorint import factorize
 
-        monkeypatch.setenv("CHOW_TRIAL_DIVISION_BOUND", "2000000")
-        assert factorize(HARD_COMPOSITE) == {1000003: 1, 1000033: 1}
+        args = []
+
+        def recorded(n):
+            args.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(chatelet.globalchow, "factorize", recorded)
+        P, Q = 1000003, 1000033
+        places = candidate_places(-1, 5, 5 + 6 * P * Q, 5 + 35 * P * Q)
+        assert places == ["real", 2, 3, 5, 7, 29, P, Q]
+        assert [n for n in args if n % P == 0] == [-6 * P * Q]
+
+    def test_one_primality_test_per_place(self, monkeypatch):
+        from chatelet import norms, padic
+
+        tested = []
+
+        def counted(n):
+            tested.append(n)
+            return padic_is_prime(n)
+
+        padic_is_prime = padic.is_prime
+        monkeypatch.setattr(padic, "is_prime", counted)
+        norms.classify_extension.cache_clear()
+        norms.norm_char_fn.cache_clear()
+        rep = global_chow(-1, 0, 1, 2)
+        finite = [p for p in rep.checked_places if p != "real"] + list(rep.sampled_primes)
+        assert sorted(tested) == sorted(finite)
+        assert len(tested) == 21
+
+    def test_semiprime_past_trial_division(self):
+        from chatelet.factorint import factorize
+
+        assert factorize(RHO_SEMIPRIME) == {1000003: 1, 1000033: 1}
 
 
 class TestKernelDimension:
@@ -168,7 +202,12 @@ class TestGlobalChow:
 
     def test_unfactorable_d(self):
         with pytest.raises(FactorizationError):
-            global_chow(HARD_COMPOSITE, 0, 1, 2)
+            global_chow(UNCERTIFIABLE_PRIME, 0, 1, 2)
+
+    def test_semiprime_d_past_trial_division(self):
+        rep = global_chow(RHO_SEMIPRIME, 0, 1, 2)
+        assert rep.kernel_dim == 4
+        assert rep.checked_places == ("real", 2, 1000003, 1000033)
 
     def test_missing_candidate_place_is_caught(self, monkeypatch, capsys):
         # Hide p=3 from the candidate list; the trivial-at-sampled-primes

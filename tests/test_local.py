@@ -564,6 +564,8 @@ class TestRegressions:
             # the dyadic character removed factors of 2 one shift at a time
             (2, (0, 1, 1 + 2**4000), 2, "Prop3-i", ((0, 1, 1),)),
             (-1, (0, 1, 1 + 2**4000), 2, "Prop3-i", ((0, 1, 1),)),
+            # the odd evaluator and valuation removed factors of p one at a time
+            (3, (0, 1, 1 + 3**2000), 3, "Prop2-i", ((0, 1, 1),)),
         ],
     )
     def test_finishes_within_guard(self, d, roots, p, label, basis):

@@ -118,6 +118,23 @@ class TestValuation:
                 if valuation(a, p) != valuation(b, p):
                     assert lhs == rhs
 
+    @pytest.mark.parametrize("p", [2, 3, 7, 101])
+    def test_deep_valuations_match_one_division_at_a_time(self, p):
+        # the doubling ladder against the division loop it replaced
+        for v in [*range(70), 255, 256, 257, 1000]:
+            for unit in (1, -1, p + 1, -(p * p - 1) * 10**20 - 1):
+                if unit % p == 0:
+                    continue
+                num, den = unit * p**v, 1 + p
+                expected_v, rest = 0, num
+                while rest % p == 0:
+                    rest //= p
+                    expected_v += 1
+                assert valuation(Fraction(num, den), p) == expected_v == v
+                assert valuation(Fraction(den, num), p) == -v
+                modulus = p**3
+                assert unit_residue(num, p, 3) == rest % modulus
+
 
 class TestUnitResidue:
     def test_values(self):
