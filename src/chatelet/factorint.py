@@ -5,10 +5,11 @@ certifier for every factor."""
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "FactorizationError",
+    "RhoBudget",
     "factorize",
     "is_prime",
     "primes_below",
@@ -16,11 +17,13 @@ __all__ = [
 
 # Trial division covers the primes below this bound; rho splits the rest.
 _TRIAL_BOUND = 1000
-# Rho evaluations allowed per factorize call, per unit of n^(1/4): a balanced
-# semiprime needs about 1.4 n^(1/4) evaluations in the median and more than
-# 6 n^(1/4) about once in two thousand.  Below psi_13 the doubling rounds stop
-# a failing search after at most 8.4 million evaluations, 3 to 4 s of CPython.
+# Rho units in RhoBudget(n): this many per unit of n^(1/4), at most
+# _RHO_MAX_UNITS, which binds past n = 7.6e22.  The cap stops one search, or
+# several sharing a budget, within 2^22 evaluations, 2 to 2.5 s of CPython.
 _RHO_STEPS_PER_QUARTER_ROOT = 8
+_RHO_MAX_UNITS = 1 << 22
+# An evaluation modulo a b-bit number costs 1 + b^2 // this many rho units.
+_RHO_WIDE_BITS_SQUARED = 60000
 # Evaluations multiplied together between two gcds.
 _RHO_BATCH = 64
 
@@ -45,18 +48,19 @@ class FactorizationError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the smallest proven witness set for n;
-    refuses above the proven witness limit."""
+    """Deterministic Miller-Rabin with the smallest proven witness set for n.
+    Past psi_13 the thirteen bases still prove a composite n composite; a
+    strong probable prime there raises FactorizationError, as no proven
+    witness set certifies it."""
     if n < 2:
         return False
     for p in _MILLER_RABIN_WITNESSES[-1][1]:
         if n % p == 0:
             return n == p
-    bases = next((bases for limit, bases in _MILLER_RABIN_WITNESSES if n < limit), None)
-    if bases is None:
-        raise FactorizationError(
-            f"{n} exceeds the deterministic Miller-Rabin witness limit", n
-        )
+    bases = next(
+        (bases for limit, bases in _MILLER_RABIN_WITNESSES if n < limit),
+        _MILLER_RABIN_WITNESSES[-1][1],
+    )
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -72,18 +76,43 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MILLER_RABIN_WITNESSES[-1][0]:
+        raise FactorizationError(
+            f"{n} exceeds the deterministic Miller-Rabin witness limit", n
+        )
     return True
 
 
-def factorize(n: int) -> Dict[int, int]:
-    """Prime factorization of |n| (n != 0), deterministic in n.
+class RhoBudget:
+    """Rho work left to one or more factorize calls, in units of one map
+    evaluation modulo a number below psi_13.
+
+    RhoBudget(n) holds 8 n^(1/4) units, at most 2^22: a balanced semiprime
+    needs about 1.4 n^(1/4) evaluations in the median and more than
+    6 n^(1/4) in fewer than one of five thousand samples; near psi_13 the
+    cap leaves about 3 n^(1/4), which one in twenty exceed.  An evaluation
+    modulo a number of b bits costs 1 + b^2 / 60000 units, which follows
+    CPython's multiplication time, so a wide cofactor gets fewer
+    evaluations rather than more time."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, n: int):
+        units = _RHO_STEPS_PER_QUARTER_ROOT * (isqrt(isqrt(abs(n))) + 1)
+        self.left = min(units, _RHO_MAX_UNITS)
+
+
+def factorize(n: int, budget: Optional[RhoBudget] = None) -> Dict[int, int]:
+    """Prime factorization of |n| (n != 0), deterministic in n and budget.left.
 
     Trial division by the primes below 1000 stops once p^2 exceeds what is
     left, so small n cost a few divisions.  Each composite cofactor is split
     by Brent's rho (`_rho_divisor`) and every factor is certified by
-    `is_prime`.  Raises FactorizationError when a factor lies past the
-    Miller-Rabin witness limit psi_13 or when the rho budget of
-    8 n^(1/4) evaluations runs out."""
+    `is_prime`.  The rho work comes out of `budget`, which several calls may
+    share so that together they cost no more than one; by default it is
+    RhoBudget of what trial division leaves.  Raises FactorizationError when a
+    factor is a strong probable prime past the Miller-Rabin witness limit
+    psi_13 or when the budget runs out."""
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
@@ -99,42 +128,52 @@ def factorize(n: int) -> Dict[int, int]:
                 factors[p] = factors.get(p, 0) + 1
                 n //= p
         q += 6
-    budget = _RHO_STEPS_PER_QUARTER_ROOT * (isqrt(isqrt(n)) + 1)
+    if budget is None:
+        budget = RhoBudget(n)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            # a prime found once is divided out of every part still waiting,
+            # so a power p^k costs one split rather than k
+            e = 1
+            for i, rest in enumerate(stack):
+                while rest % m == 0:
+                    rest //= m
+                    e += 1
+                stack[i] = rest
+            factors[m] = factors.get(m, 0) + e
+            stack = [rest for rest in stack if rest > 1]
             continue
-        divisor, budget = _rho_divisor(m, budget)
+        divisor = _rho_divisor(m, budget)
         if not divisor:
             raise FactorizationError(
                 f"Pollard rho could not split the composite cofactor {m} "
-                f"within its budget of {_RHO_STEPS_PER_QUARTER_ROOT} n^(1/4) steps",
+                "within its work budget",
                 m,
             )
-        stack += [divisor, m // divisor]
+        stack += [m // divisor, divisor]
     return factors
 
 
-def _rho_divisor(m: int, budget: int) -> Tuple[int, int]:
-    """A proper divisor of the odd composite m and the budget left.
+def _rho_divisor(m: int, budget: RhoBudget) -> int:
+    """A proper divisor of the odd composite m, or 0 if budget runs out first.
 
     Brent's cycle search (Brent 1980; Cohen, A Course in Computational
     Algebraic Number Theory, 8.5) on y -> y^2 + c mod m, with the differences
     x - y multiplied together for _RHO_BATCH steps between gcds.  When the
     gcd collapses to m, the batch is replayed one step at a time, and if that
     gives m too, c moves on to the next integer.  Each evaluation of the map
-    spends one unit of budget; the divisor is 0 when the budget runs out
-    first."""
+    is charged to budget before it runs."""
+    unit = 1 + m.bit_length() ** 2 // _RHO_WIDE_BITS_SQUARED
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            if budget < r:
-                return 0, budget
-            budget -= r
+            if budget.left < r * unit:
+                return 0
+            budget.left -= r * unit
             x = y
             for _ in range(r):
                 y = (y * y + c) % m
@@ -142,9 +181,9 @@ def _rho_divisor(m: int, budget: int) -> Tuple[int, int]:
             while k < r and g == 1:
                 ys = y
                 steps = min(_RHO_BATCH, r - k)
-                if budget < steps:
-                    return 0, budget
-                budget -= steps
+                if budget.left < steps * unit:
+                    return 0
+                budget.left -= steps * unit
                 for _ in range(steps):
                     y = (y * y + c) % m
                     q = q * (x - y) % m
@@ -157,7 +196,7 @@ def _rho_divisor(m: int, budget: int) -> Tuple[int, int]:
                 ys = (ys * ys + c) % m
                 g = gcd(x - ys, m)
         if g != m:
-            return g, budget
+            return g
 
 
 def primes_below(limit: int) -> List[int]:

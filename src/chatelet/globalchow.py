@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .factorint import factorize, primes_below
+from .factorint import RhoBudget, factorize, primes_below
 from .gf2 import gf2_rank
 from .local import (
     ContradictionError,
@@ -53,15 +53,18 @@ def _place_sort_key(place: Place) -> Tuple[int, int]:
 def _odd_prime_support(values: Iterable[Fraction]) -> set:
     """Odd primes dividing a numerator or denominator of the values.  Each is
     first divided by the primes already found, so a prime shared by several
-    values (P and Q in every root difference s - (s + aPQ)) is factored once."""
+    values (P and Q in every root difference s - (s + aPQ)) is factored once.
+    All the factoring draws on one rho budget, that of the largest value, so
+    a call costs at most what factoring its largest value may cost."""
+    parts = [n for value in values for n in (value.numerator, value.denominator)]
+    budget = RhoBudget(max(abs(n) for n in parts))
     primes: set = set()
-    for value in values:
-        for n in (value.numerator, value.denominator):
-            for p in primes:
-                while n % p == 0:
-                    n //= p
-            if n not in (1, -1):
-                primes.update(factorize(n))
+    for n in parts:
+        for p in primes:
+            while n % p == 0:
+                n //= p
+        if n not in (1, -1):
+            primes.update(factorize(n, budget))
     primes.discard(2)
     return primes
 

@@ -4,12 +4,16 @@ import random
 
 import pytest
 
-import chatelet.factorint
 from chatelet import FactorizationError, factorize, is_prime
 from guards import wall_clock_guard
 
 # psi_12: the least strong pseudoprime to the twelve prime bases 2, ..., 37
 PSI_12 = 318665857834031151167461
+# psi_13, past which no proven witness set certifies a prime
+PSI_13 = 3317044064679887385961981
+# certifiable cofactors whose products with small primes lie past psi_13
+PRIME_NEAR_4E21 = 4000000000000000000013
+FIVE_PRIMES_NEAR_1E5 = 100003 * 100019 * 100043 * 100049 * 100057
 
 
 def _sieve(limit):
@@ -63,6 +67,11 @@ class TestIsPrime:
         with pytest.raises(FactorizationError):
             is_prime(3317044064679887385961981)
 
+    def test_witnesses_prove_composites_beyond_the_limit(self):
+        for n in (1013 * PRIME_NEAR_4E21, FIVE_PRIMES_NEAR_1E5, PRIME_NEAR_4E21**2):
+            assert n > PSI_13
+            assert not is_prime(n)
+
 
 class TestFactorize:
     def test_matches_sympy(self):
@@ -86,7 +95,10 @@ class TestFactorize:
                 below *= prime_near(2, 1000)
             for _ in range(3):
                 smooth *= prime_near(1000, 2000)
-            cases += [below * prime_near(10**14, 10**16), below * smooth * prime_near(10**11, 10**12)]
+            cases += [
+                below * prime_near(10**14, 10**16),
+                below * smooth * prime_near(10**11, 10**12),
+            ]
         for n in cases:
             expected = {int(p): e for p, e in sympy.factorint(abs(n)).items()}
             assert factorize(n) == expected, n
@@ -96,22 +108,45 @@ class TestFactorize:
         assert factorize(n) == factorize(n) == {10007: 2, 1000003: 1, 1000033: 1}
 
     def test_semiprime_below_psi_13_within_guard(self):
-        # two primes near 1.8e12: n is just below psi_13, so rho may need its
-        # whole budget of 8 n^(1/4) evaluations
+        # two primes near 1.8e12: n is just below psi_13, where the budget of
+        # rho is at its cap of 2^22 evaluations
         p, q = 1800000000047, 1800000000083
         for f in (p, q):
             assert is_prime(f)
-        assert p * q < 3317044064679887385961981
+        assert p * q < PSI_13
         with wall_clock_guard(5):
-            try:
-                assert factorize(p * q) == {p: 1, q: 1}
-            except FactorizationError:
-                pass
+            assert factorize(p * q) == {p: 1, q: 1}
 
-    def test_exhausted_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(chatelet.factorint, "_RHO_STEPS_PER_QUARTER_ROOT", 0)
-        with pytest.raises(FactorizationError, match="rho"):
-            factorize(1000036000099)
+    def test_exhausted_budget_within_guard(self):
+        # a semiprime just below psi_13 whose search needs more than the
+        # capped budget: the slowest refusal below the witness limit
+        p, q = 1810170000019, 1810175000059
+        for f in (p, q):
+            assert is_prime(f)
+        assert p * q < PSI_13
+        with wall_clock_guard(5):
+            with pytest.raises(FactorizationError, match="rho"):
+                factorize(p * q)
+
+    def test_wide_composite_refused_within_guard(self):
+        # 3170 bits and a cofactor rho cannot split: an evaluation modulo it
+        # costs more of the budget, so the refusal takes about as long as a
+        # narrow one
+        with wall_clock_guard(5):
+            with pytest.raises(FactorizationError, match="rho"):
+                factorize(1 + 3**2000)
+
+    def test_small_factors_beyond_the_witness_limit(self):
+        # composite parts past psi_13 are split, not refused
+        assert factorize(1013 * PRIME_NEAR_4E21) == {1013: 1, PRIME_NEAR_4E21: 1}
+        assert factorize(FIVE_PRIMES_NEAR_1E5) == dict.fromkeys(
+            (100003, 100019, 100043, 100049, 100057), 1
+        )
+        assert factorize(1000003 * 1000033 * 1000037 * 1000039 * 1000081) == dict.fromkeys(
+            (1000003, 1000033, 1000037, 1000039, 1000081), 1
+        )
+        with wall_clock_guard(5):
+            assert factorize(1013**300) == {1013: 300}
 
     def test_refuses_an_uncertifiable_cofactor(self):
         with pytest.raises(FactorizationError, match="witness limit"):

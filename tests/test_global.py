@@ -18,6 +18,7 @@ from chatelet import (
     reciprocity_check,
 )
 from chatelet.cli import EXIT_OK, main
+from guards import wall_clock_guard
 
 # a prime past psi_13, the Miller-Rabin witness limit: it cannot be certified
 UNCERTIFIABLE_PRIME = 10000000000000000000000013
@@ -61,9 +62,9 @@ class TestCandidatePlaces:
 
         args = []
 
-        def recorded(n):
+        def recorded(n, budget):
             args.append(n)
-            return factorize(n)
+            return factorize(n, budget)
 
         monkeypatch.setattr(chatelet.globalchow, "factorize", recorded)
         P, Q = 1000003, 1000033
@@ -88,6 +89,22 @@ class TestCandidatePlaces:
         finite = [p for p in rep.checked_places if p != "real"] + list(rep.sampled_primes)
         assert sorted(tested) == sorted(finite)
         assert len(tested) == 21
+
+    def test_one_rho_budget_per_call(self):
+        # six semiprimes of two primes near 1.8e12, each factorable alone;
+        # together they need more rho work than the one budget a call has
+        primes = [
+            1800000000047, 1800001000001, 1800002000023, 1800003000011,
+            1800004000013, 1800005000081, 1800006000017, 1800007000027,
+            1800008000029, 1800009000047, 1800010000069, 1800011000089,
+        ]
+        s = [primes[i] * primes[i + 1] for i in range(0, 12, 2)]
+        with wall_clock_guard(5):
+            with pytest.raises(FactorizationError, match="rho"):
+                global_chow(Fraction(s[0], s[1]), 0, Fraction(s[2], s[3]), Fraction(s[4], s[5]))
+        from chatelet.factorint import factorize
+
+        assert factorize(s[2]) == {primes[4]: 1, primes[5]: 1}
 
     def test_semiprime_past_trial_division(self):
         from chatelet.factorint import factorize
