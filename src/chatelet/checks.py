@@ -18,6 +18,7 @@ from typing import Callable, List, Sequence, Tuple
 from .globalchow import reciprocity_check
 from .local import (
     ContradictionError,
+    NormalizedSurface,
     Subgroup3,
     characteristic_subgroup,
     local_chow,
@@ -32,6 +33,7 @@ from .padic import (
     is_local_square,
     legendre,
     suggested_oracle_precision,
+    valuation,
 )
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "check_equivariance",
     "check_order_agreement",
     "check_reciprocity",
+    "check_root_scaling",
     "check_sampled_membership",
     "check_square_scaling",
     "check_symbol_identities",
@@ -482,6 +485,41 @@ def check_square_scaling(rng: random.Random, count: int = 200) -> SuiteResult:
         tally.record(
             scaled == base,
             f"{family} d={d} s={s} roots={roots} v={place}: reports differ",
+        )
+    return tally.result()
+
+
+def check_root_scaling(rng: random.Random, count: int = 200) -> SuiteResult:
+    """Moving the roots by x -> s^2 x + t, an isomorphism over Q, keeps the
+    case, the predicted order and the subgroup; the normalized surface has
+    e -> s^2 e and r, D -> r + 2 v(s), D + 2 v(s).
+
+    This is the premise of the integer normal form that local_chow and
+    global_chow run on."""
+    tally = _Tally("root-scaling")
+    for i in range(count):
+        family = CASE_FAMILIES[i % len(CASE_FAMILIES)]
+        d, roots, place = random_surface(rng, family, small=True)
+        s = random_rational(rng, 1)
+        t = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+        base = local_chow(d, *roots, place)
+        moved = local_chow(d, *(s * s * c + t for c in roots), place)
+        expected = base.normalized
+        if expected is not None:
+            shift = 0 if place == REAL_PLACE else 2 * valuation(s, place)
+            expected = NormalizedSurface(
+                s * s * expected.e1,
+                s * s * expected.e2,
+                expected.r + shift,
+                expected.big_d + shift,
+                expected.perm,
+            )
+        tally.record(
+            (moved.case_label, moved.predicted_order, moved.subgroup, moved.normalized)
+            == (base.case_label, base.predicted_order, base.subgroup, expected),
+            f"{family} d={d} roots={roots} s={s} t={t} v={place}: "
+            f"{moved.case_label} {moved.subgroup.basis} {moved.normalized}, expected "
+            f"{base.case_label} {base.subgroup.basis} {expected}",
         )
     return tally.result()
 

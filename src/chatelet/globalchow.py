@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -15,8 +15,11 @@ from .local import (
     LocalReport,
     Subgroup3,
     _distinct_roots,
+    _integral_d,
+    _integral_roots,
     _repro_command,
     _triple_bits,
+    _unscaled,
     local_chow,
 )
 from .padic import (
@@ -50,7 +53,7 @@ def _place_sort_key(place: Place) -> Tuple[int, int]:
     return (0, 0) if place == REAL_PLACE else (1, place)
 
 
-def _odd_prime_support(values: Iterable[Fraction]) -> set:
+def _odd_prime_support(values: Iterable[Rational]) -> set:
     """Odd primes dividing a numerator or denominator of the values.  Each is
     first divided by the primes already found, so a prime shared by several
     values (P and Q in every root difference s - (s + aPQ)) is factored once.
@@ -126,15 +129,30 @@ def global_chow(
     rng: Optional[random.Random] = None,
 ) -> GlobalReport:
     """Global group as the kernel of the summation map over all candidate places,
-    with a sanity sample of non-candidate primes asserted trivial."""
-    d = _nonzero(d, "d must be nonzero")
-    roots = _distinct_roots(c1, c2, c3)
+    with a sanity sample of non-candidate primes asserted trivial.
+
+    The candidate places come from the caller's d and roots.  Every place then
+    runs on one integer surface, made once per call as local_chow would make
+    it: d0 = d * den(d)^2 and the roots L^2 c_i, L the lcm of the root
+    denominators.  The nontrivial reports kept have `normalized` mapped back
+    to the caller's coordinates.  A ContradictionError raised inside
+    local_chow prints that integer surface in its reproduction line, which
+    recomputes the same local group."""
+    d = Fraction(_nonzero(d, "d must be nonzero"))
+    roots = tuple(map(Fraction, _distinct_roots(c1, c2, c3)))
     places = candidate_places(d, *roots)
     if not places:  # d is a square in Q: every completion splits
         return GlobalReport(d, roots, 0, (), (), ())
 
-    reports = [local_chow(d, *roots, place) for place in places]
+    d0 = _integral_d(d)
+    ints, scale = _integral_roots(roots)
+    reports = [local_chow(d0, *ints, place) for place in places]
     nontrivial = tuple(rep for rep in reports if rep.subgroup.dim > 0)
+    if scale != 1:
+        nontrivial = tuple(
+            replace(rep, normalized=_unscaled(rep.normalized, scale, rep.place))
+            for rep in nontrivial
+        )
     kernel = kernel_dimension([rep.subgroup for rep in nontrivial])
 
     rng = rng if rng is not None else random.Random(0)
@@ -142,7 +160,7 @@ def global_chow(
     pool = [p for p in _sample_pool() if p not in excluded]
     sampled = tuple(sorted(rng.sample(pool, min(sample_primes, len(pool)))))
     for q in sampled:
-        rep = local_chow(d, *roots, q)
+        rep = local_chow(d0, *ints, q)
         if rep.subgroup.dim != 0:
             raise ContradictionError(
                 f"non-candidate prime {q} has a nontrivial local group; "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .gf2 import member, reduce_rows
@@ -24,7 +25,8 @@ from .padic import (
     REAL_PLACE,
     Place,
     Rational,
-    _as_fraction,
+    _as_rational,
+    _valuation_and_unit,
     valuation,
 )
 
@@ -106,10 +108,13 @@ class NormalizedSurface:
 
     perm maps the local fiber slots (0-fiber, e1-fiber, e2-fiber) to 1-based
     original root indices; base_root_index, perm[0], is the root moved to 0.
+    e1 and e2 have the type of the roots they came from: ints inside
+    local_chow, which normalizes its integer surface, and Fractions in
+    LocalReport.normalized, which is in the caller's coordinates.
     """
 
-    e1: Fraction
-    e2: Fraction
+    e1: Rational
+    e2: Rational
     r: int
     big_d: int
     perm: Tuple[int, int, int]
@@ -129,8 +134,8 @@ class LocalReport:
     subgroup: Subgroup3  # in global root coordinates
 
 
-def _distinct_roots(c1: Rational, c2: Rational, c3: Rational) -> Tuple[Fraction, ...]:
-    roots = (_as_fraction(c1), _as_fraction(c2), _as_fraction(c3))
+def _distinct_roots(c1: Rational, c2: Rational, c3: Rational) -> Tuple[Rational, ...]:
+    roots = (_as_rational(c1), _as_rational(c2), _as_rational(c3))
     if roots[0] == roots[1] or roots[0] == roots[2] or roots[1] == roots[2]:
         listed = ", ".join(str(c) for c in roots)
         raise DegenerateSurfaceError(f"roots must be pairwise distinct, got ({listed})")
@@ -179,20 +184,22 @@ def special_fiber_images(
     return ((0, 0, 0), (a ^ b, m ^ a, m ^ b), (a, a ^ g, g), (b, m ^ g, m ^ b ^ g))
 
 
-def _real_samples(e1: Fraction, e2: Fraction) -> Tuple[Fraction, ...]:
-    """One point inside each of the four real intervals cut out by 0, e1, e2."""
-    cuts = sorted((Fraction(0), e1, e2))
+def _real_samples(e1: Rational, e2: Rational) -> Tuple[Rational, ...]:
+    """One exact point inside each of the four real intervals cut out by 0,
+    e1, e2."""
+    cuts = sorted((0, e1, e2))
     return (
         cuts[0] - 1,
-        (cuts[0] + cuts[1]) / 2,
-        (cuts[1] + cuts[2]) / 2,
+        Fraction(cuts[0] + cuts[1], 2),
+        Fraction(cuts[1] + cuts[2], 2),
         cuts[2] + 1,
     )
 
 
-def _integral_residue(e: Fraction, modulus: int) -> int:
+def _integral_residue(e: Rational, modulus: int) -> int:
     """The integer in [0, modulus) congruent to e, whose denominator is prime
-    to the modulus."""
+    to the modulus: 1 on local_chow's integer surface, and any p-unit on a
+    surface normalize_roots made from Fraction roots."""
     return e.numerator * pow(e.denominator, -1, modulus) % modulus
 
 
@@ -381,6 +388,35 @@ def _to_global(subgroup: Subgroup3, perm: Tuple[int, int, int]) -> Subgroup3:
     return Subgroup3.span(vectors)
 
 
+def _integral_d(d: Rational) -> Rational:
+    """d * den(d)^2, an int in the square class of d.  Anything but a
+    Fraction is returned as it is, for classify_extension to check."""
+    return d.numerator * d.denominator if isinstance(d, Fraction) else d
+
+
+def _integral_roots(roots: Tuple[Rational, ...]) -> Tuple[Tuple[int, ...], int]:
+    """The roots L^2 c_i, all ints, and L, the lcm of the denominators of the
+    c_i.  x -> L^2 x multiplies the cubic by the square L^6, so with d in
+    place of its square class the surfaces are isomorphic over Q."""
+    scale = lcm(*(c.denominator for c in roots))
+    square = scale * scale
+    return tuple(c.numerator * (square // c.denominator) for c in roots), scale
+
+
+def _unscaled(surface: NormalizedSurface, scale: int, place: Place) -> NormalizedSurface:
+    """The normalized surface of the roots c_i, from that of the roots
+    scale^2 c_i: e -> e / scale^2 as a Fraction, r and D less 2 v(scale)."""
+    square = scale * scale
+    shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]
+    return NormalizedSurface(
+        Fraction(surface.e1, square),
+        Fraction(surface.e2, square),
+        surface.r - shift,
+        surface.big_d - shift,
+        surface.perm,
+    )
+
+
 def _repro_command(d: Rational, roots: Iterable[Rational], place: Place) -> str:
     """The `chatelet local` command line that recomputes one local group."""
     listed = ",".join(str(Fraction(c)) for c in roots)
@@ -391,10 +427,19 @@ def local_chow(
     d: Rational, c1: Rational, c2: Rational, c3: Rational, place: Place
 ) -> LocalReport:
     """Class group of degree-zero 0-cycles at one place, as a subgroup of (Z/2)^3
-    in global root coordinates, cross-checked against the case classifier."""
-    ext = classify_extension(d, place)
+    in global root coordinates, cross-checked against the case classifier.
+
+    This is the one conversion point of a local call.  Both routes run on the
+    integer normal form of the input: d0 = d * den(d)^2 and the roots L^2 c_i,
+    L the lcm of the root denominators.  That surface is isomorphic over Q to
+    the caller's, so its local group, case and generators are the caller's;
+    only `normalized` is mapped back, e -> e / L^2 (a Fraction) and r and D
+    less 2 v(L).  On integer input, as global_chow passes it, the conversion
+    changes nothing."""
+    d0 = _integral_d(d)
+    ext = classify_extension(d0, place)  # checks the place, then d
+    roots = _distinct_roots(c1, c2, c3)
     if ext.kind is ExtKind.SPLIT:
-        _distinct_roots(c1, c2, c3)
         label = _REAL_POSITIVE if place == REAL_PLACE else _SPLIT
         return LocalReport(
             place=place,
@@ -405,9 +450,10 @@ def local_chow(
             subgroup=TRIVIAL_SUBGROUP,
         )
 
-    surface = normalize_roots(c1, c2, c3, place)
-    local_sub = characteristic_subgroup(d, surface, place)
-    label, predicted = classify_case(d, surface, place)
+    ints, scale = _integral_roots(roots)
+    surface = normalize_roots(*ints, place)
+    local_sub = characteristic_subgroup(d0, surface, place)
+    label, predicted = classify_case(d0, surface, place)
     if local_sub.order != predicted:
         raise ContradictionError(
             f"classifier predicts order {predicted} for {label} but enumeration "
@@ -419,7 +465,7 @@ def local_chow(
     return LocalReport(
         place=place,
         ext_class=ext,
-        normalized=surface,
+        normalized=_unscaled(surface, scale, place),
         case_label=label,
         predicted_order=predicted,
         subgroup=_to_global(local_sub, surface.perm),

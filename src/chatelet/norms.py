@@ -16,7 +16,7 @@ from .padic import (
     REAL_PLACE,
     Place,
     Rational,
-    _as_fraction,
+    _as_rational,
     _nonzero,
     _valuation_and_unit,
     legendre,
@@ -91,7 +91,7 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
 def _square_class_int(x: Rational) -> int:
     """x itself, or numerator * denominator, which differs from x by the
     square denominator^2: a nonzero int in the square class of x."""
-    t = x if isinstance(x, int) else _as_fraction(x).numerator * x.denominator
+    t = x if isinstance(x, int) else _as_rational(x).numerator * x.denominator
     if not t:
         raise ValueError("chi is undefined at zero")
     return t

@@ -55,20 +55,19 @@ def require_prime_place(place: Place) -> int:
     return place
 
 
-def _as_fraction(r: Rational) -> Fraction:
-    """The one check of caller input: an int or a Fraction, as a Fraction.
+def _as_rational(r: Rational) -> Rational:
+    """The one check of caller input: an int or a Fraction, returned as it is,
+    so that integer input stays on int arithmetic.
 
     Anything else, a float or a str included, raises TypeError."""
-    if isinstance(r, Fraction):
+    if isinstance(r, (int, Fraction)):
         return r
-    if isinstance(r, int):
-        return Fraction(r)
     raise TypeError(f"expected an exact rational, got {type(r).__name__}")
 
 
-def _nonzero(r: Rational, message: str) -> Fraction:
-    """_as_fraction for a value that must be nonzero; zero raises ValueError."""
-    r = _as_fraction(r)
+def _nonzero(r: Rational, message: str) -> Rational:
+    """_as_rational for a value that must be nonzero; zero raises ValueError."""
+    r = _as_rational(r)
     if not r:
         raise ValueError(message)
     return r
@@ -147,7 +146,7 @@ def is_local_square(r: Rational, place: Place) -> bool:
 
 def is_rational_square(r: Rational) -> bool:
     """Whether r is a square in Q itself (exact test)."""
-    r = _as_fraction(r)
+    r = _as_rational(r)
     if r < 0:
         return False
     num, den = r.numerator, r.denominator

@@ -10,6 +10,7 @@ import flat_sweep
 from chatelet import (
     check_equivariance,
     check_reciprocity,
+    check_root_scaling,
     check_square_scaling,
     check_symbol_identities,
     check_symbol_oracle,
@@ -132,6 +133,8 @@ def test_criterion_7_enumerator_fuzz():
         assert equivariance.runs >= 200 and equivariance.failed == 0, equivariance
         scaling = check_square_scaling(random.Random(703), 200)
         assert scaling.runs >= 200 and scaling.failed == 0, scaling
+        roots = check_root_scaling(random.Random(704), 200)
+        assert roots.runs >= 200 and roots.failed == 0, roots
 
     _report(7, "enumerator-fuzz", body)
 

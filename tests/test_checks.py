@@ -9,6 +9,7 @@ from chatelet import (
     check_equivariance,
     check_order_agreement,
     check_reciprocity,
+    check_root_scaling,
     check_sampled_membership,
     check_square_scaling,
     check_symbol_identities,
@@ -68,6 +69,12 @@ def test_equivariance_200():
 
 def test_square_scaling_200():
     result = check_square_scaling(random.Random(17), 200)
+    assert result.runs == 200
+    assert result.failed == 0
+
+
+def test_root_scaling_200():
+    result = check_root_scaling(random.Random(19), 200)
     assert result.runs == 200
     assert result.failed == 0
 

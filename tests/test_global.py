@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import chatelet.globalchow
+import chatelet.local
 from chatelet import (
     ContradictionError,
     FactorizationError,
@@ -15,6 +16,7 @@ from chatelet import (
     candidate_places,
     global_chow,
     kernel_dimension,
+    local_chow,
     reciprocity_check,
 )
 from chatelet.cli import EXIT_OK, main
@@ -249,6 +251,57 @@ class TestGlobalChow:
         assert line == "chatelet local --d=-1 --roots=0,1,9 --p=3"
         assert main(shlex.split(line)[1:] + ["--format", "json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["result"]["group"] == "(Z/2)^1"
+
+
+class TestIntegerHandOff:
+    """global_chow converts d and the roots to integers once per call and
+    hands every place the same integer surface."""
+
+    SURFACES = (
+        (Fraction(-3, 4), (Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4))),
+        (30, (Fraction(5, 4), 6, Fraction(-14, 3))),
+    )
+
+    @pytest.mark.parametrize("d,roots", SURFACES)
+    def test_reports_match_local_chow(self, d, roots):
+        rep = global_chow(d, *roots)
+        assert rep.d == d and rep.roots == roots
+        assert rep.local_reports
+        for local in rep.local_reports:
+            assert local == local_chow(d, *roots, local.place)
+        # the root denominators lie at these places, so the integer surface
+        # has other valuations there and the mapping back is not the identity
+        assert any(local.normalized.r < 0 for local in rep.local_reports)
+
+    @pytest.mark.parametrize("d,roots", SURFACES)
+    def test_every_place_gets_ints(self, d, roots, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return local_chow(*args)
+
+        monkeypatch.setattr(chatelet.globalchow, "local_chow", spy)
+        rep = global_chow(d, *roots)
+        assert [args[4] for args in calls] == [*rep.checked_places, *rep.sampled_primes]
+        for args in calls:
+            assert all(type(x) is int for x in args[:4]), args
+
+    def test_contradiction_repro_is_the_integer_surface(self, monkeypatch, capsys):
+        # d = -3/4 and roots 1/2, 5/3, -7/4 become -12 and 72, 240, -252
+        monkeypatch.setattr(
+            chatelet.local, "classify_case", lambda d, surf, place: ("Prop3-i", 8)
+        )
+        with pytest.raises(ContradictionError) as exc:
+            global_chow(Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4))
+        line = str(exc.value).splitlines()[-1]
+        assert line == "chatelet local --d=-12 --roots=72,240,-252 --p=real"
+        monkeypatch.undo()
+        assert main(shlex.split(line)[1:] + ["--format", "json"]) == EXIT_OK
+        rep = global_chow(Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4))
+        generators = json.loads(capsys.readouterr().out)["result"]["generators"]
+        real = [r for r in rep.local_reports if r.place == "real"][0]
+        assert generators == [list(g) for g in real.subgroup.basis]
 
 
 class TestReciprocity:

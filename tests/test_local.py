@@ -1,6 +1,7 @@
 """Local classifier and enumerator: normalization, fibers, ball refinement, reports."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import chatelet.local
 import flat_sweep
 from guards import wall_clock_guard
 from chatelet import (
+    CASE_FAMILIES,
     ContradictionError,
     DegenerateSurfaceError,
     ExtKind,
@@ -194,6 +196,21 @@ class TestCharacteristicPoints:
         with pytest.raises(ValueError, match="local square"):
             list(characteristic_points(4, _surface(1, 2, 5), 5))
 
+    @pytest.mark.parametrize("kind", [int, Fraction])
+    def test_real_samples_are_exact(self, kind):
+        # halving an int cut must not give a float: every sample is an int
+        # or a Fraction, with the cuts 0, e1, e2 in each order
+        for e1, e2 in itertools.permutations((-3, -1, 2, 5), 2):
+            surf = NormalizedSurface(kind(e1), kind(e2), 0, 0, (1, 2, 3))
+            for d in (-1, -3, 2):
+                points = list(characteristic_points(d, surf, "real"))
+                assert len(points) == (4 if d > 0 else 2), (e1, e2, d)
+                for x, t in points:
+                    assert type(x) in (int, Fraction), (e1, e2, x)
+                    assert t == (chi(d, x, "real"), chi(d, x - e1, "real"), chi(d, x - e2, "real"))
+            label, order = classify_case(-1, surf, "real")
+            assert (label, order) == ("Real-d-negative", 2), (e1, e2)
+
 
 class TestCharacteristicSubgroup:
     def test_dyadic_full_plane(self):
@@ -344,6 +361,35 @@ class TestLocalChow:
         assert exc.value.enumerated_order == 4
 
 
+class TestIntegerNormalForm:
+    """local_chow runs on d * den(d)^2 and the roots L^2 c_i, L the lcm of the
+    root denominators, and reports `normalized` in the caller's coordinates."""
+
+    def test_int_and_fraction_input_give_equal_reports(self):
+        rng = random.Random(36)
+        for i in range(120):
+            family = CASE_FAMILIES[i % len(CASE_FAMILIES)]
+            d, roots, place = random_surface(rng, family, small=True)
+            square = math.lcm(*(c.denominator for c in roots)) ** 2
+            ints = tuple(int(c * square) for c in roots)
+            d = d.numerator * d.denominator
+            as_int = local_chow(d, *ints, place)
+            as_fraction = local_chow(Fraction(d), *map(Fraction, ints), place)
+            assert as_int == as_fraction, (family, d, ints, place)
+            assert repr(as_int) == repr(as_fraction)
+            if as_int.normalized is not None:
+                assert type(as_int.normalized.e1) is type(as_int.normalized.e2) is Fraction
+
+    def test_normalized_stays_in_caller_coordinates(self):
+        # L = 12: the integer surface has its e times 144 and its r and D
+        # larger by 4 at p = 2 and by 2 at p = 3; the report maps them back
+        for place, r, big_d in (("real", 0, 0), (2, -2, -1), (3, -1, 2)):
+            rep = local_chow(Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4), place)
+            surf = normalize_roots(Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4), place)
+            assert rep.normalized == surf
+            assert (rep.normalized.r, rep.normalized.big_d) == (r, big_d)
+
+
 def _directed_surfaces(seed, per_family, heavy=False, small=False):
     """(d, normalized surface, p) directed at each enumerable family in turn."""
     rng = random.Random(seed)
@@ -402,6 +448,20 @@ class TestBallEnumerator:
                             t = (chi(d, x, p), chi(d, x - e1, p), chi(d, x - e2, p))
                             if sum(t) % 2 == 0:
                                 assert t == image, (d, surf, p, x, t, image)
+
+    def test_unit_denominators_keep_the_subgroup(self):
+        # roots divided by q^2, q a unit at p, move x by a square: the
+        # subgroup is the same, and the enumerator reduces the roots' p-unit
+        # denominators modulo p^k instead of dropping them
+        rng = random.Random(35)
+        for i in range(90):
+            family = _ENUMERABLE_FAMILIES[i % len(_ENUMERABLE_FAMILIES)]
+            d, roots, p = random_surface(rng, family)
+            q = rng.choice([q for q in (5, 7, 11, 13) if q != p])
+            moved = normalize_roots(*(c / (q * q) for c in roots), p)
+            assert characteristic_subgroup(d, moved, p) == (
+                characteristic_subgroup(d, normalize_roots(*roots, p), p)
+            ), (family, d, roots, p, q)
 
     def test_matches_flat_sweep_on_heavy_conductor_two(self):
         rng = random.Random(34)
