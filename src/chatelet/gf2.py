@@ -13,19 +13,25 @@ def reduce_rows(rows: Iterable[int]) -> List[int]:
     Each pivot bit appears in exactly one basis row and rows come out sorted by
     leading bit, so the result is independent of input order and multiplicity.
     """
-    pivots: dict[int, int] = {}
+    basis: List[int] = []  # descending, so by leading bit
     for row in rows:
         r = row
-        for lead in sorted(pivots, reverse=True):
-            if r >> lead & 1:
-                r ^= pivots[lead]
+        # each pivot bit lies in exactly one basis row, so the order in which
+        # a row's pivots are cleared does not matter
+        for b in basis:
+            if r >> (b.bit_length() - 1) & 1:
+                r ^= b
         if r:
+            # only rows with a higher leading bit can hold r's, and they are
+            # the rows ahead of r's place in the descending basis
             lead = r.bit_length() - 1
-            for other in pivots:
-                if pivots[other] >> lead & 1:
-                    pivots[other] ^= r
-            pivots[lead] = r
-    return [pivots[lead] for lead in sorted(pivots, reverse=True)]
+            at = 0
+            while at < len(basis) and basis[at] > r:
+                if basis[at] >> lead & 1:
+                    basis[at] ^= r
+                at += 1
+            basis.insert(at, r)
+    return basis
 
 
 def gf2_rank(rows: Iterable[int]) -> int:

@@ -142,6 +142,10 @@ def _distinct_roots(c1: Rational, c2: Rational, c3: Rational) -> Tuple[Rational,
     return roots
 
 
+# (base root, the other two) in order of preference
+_BASES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+
+
 def normalize_roots(c1: Rational, c2: Rational, c3: Rational, place: Place) -> NormalizedSurface:
     """Pick a base root whose two incident differences share a valuation.
 
@@ -159,9 +163,8 @@ def normalize_roots(c1: Rational, c2: Rational, c3: Rational, place: Place) -> N
     p = place
     # roots[j] - roots[i] (i < j) sits at i + j - 1; with base i, D is at 2 - i
     diffs = (roots[1] - roots[0], roots[2] - roots[0], roots[2] - roots[1])
-    vals = tuple(valuation(t, p) for t in diffs)
-    for i in range(3):
-        j, k = (t for t in range(3) if t != i)
+    vals = [valuation(t, p) for t in diffs]
+    for i, j, k in _BASES:
         a, b = i + j - 1, i + k - 1
         if vals[a] == vals[b]:
             e1 = diffs[a] if i < j else -diffs[a]
@@ -200,7 +203,8 @@ def _integral_residue(e: Rational, modulus: int) -> int:
     """The integer in [0, modulus) congruent to e, whose denominator is prime
     to the modulus: 1 on local_chow's integer surface, and any p-unit on a
     surface normalize_roots made from Fraction roots."""
-    return e.numerator * pow(e.denominator, -1, modulus) % modulus
+    den = e.denominator
+    return e.numerator % modulus if den == 1 else e.numerator * pow(den, -1, modulus) % modulus
 
 
 def characteristic_points(
@@ -276,7 +280,7 @@ def characteristic_points(
     # a ball close to roots[i] alone is dropped from level drop[i] on, once it
     # lies inside roots[i] + p^drop[i] Z_p
     drop = (r + m + 1, big_d + m + 1, big_d + m + 1)
-    drop_mod = tuple(p**level for level in drop)
+    drop_mod = (p ** drop[0], p ** drop[1], p ** drop[2])
 
     balls = [0]
     for k in range(r - m, last + 1):
@@ -328,9 +332,7 @@ def characteristic_subgroup(
     triple lies in the sum-zero plane, so the span is complete as soon as it
     reaches dimension 2.
     """
-    rows = reduce_rows(
-        _triple_bits(t) for t in special_fiber_images(d, surface, place)
-    )
+    rows = reduce_rows(map(_triple_bits, special_fiber_images(d, surface, place)))
     if len(rows) < 2:
         for _, t in characteristic_points(d, surface, place):
             b = _triple_bits(t)
@@ -338,7 +340,7 @@ def characteristic_subgroup(
                 rows = reduce_rows(rows + [b])
                 if len(rows) == 2:
                     break
-    return Subgroup3(tuple(_bits_triple(b) for b in rows))
+    return Subgroup3(tuple(map(_bits_triple, rows))) if rows else TRIVIAL_SUBGROUP
 
 
 # Interface literals for LocalReport.case_label.
@@ -379,6 +381,8 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
 
 
 def _to_global(subgroup: Subgroup3, perm: Tuple[int, int, int]) -> Subgroup3:
+    if not subgroup.basis:
+        return subgroup
     vectors = []
     for t in subgroup.basis:
         g = [0, 0, 0]
@@ -398,23 +402,25 @@ def _integral_roots(roots: Tuple[Rational, ...]) -> Tuple[Tuple[int, ...], int]:
     """The roots L^2 c_i, all ints, and L, the lcm of the denominators of the
     c_i.  x -> L^2 x multiplies the cubic by the square L^6, so with d in
     place of its square class the surfaces are isomorphic over Q."""
-    scale = lcm(*(c.denominator for c in roots))
+    c1, c2, c3 = roots
+    if c1.denominator == c2.denominator == c3.denominator == 1:
+        return (c1.numerator, c2.numerator, c3.numerator), 1
+    scale = lcm(c1.denominator, c2.denominator, c3.denominator)
     square = scale * scale
     return tuple(c.numerator * (square // c.denominator) for c in roots), scale
 
 
 def _unscaled(surface: NormalizedSurface, scale: int, place: Place) -> NormalizedSurface:
     """The normalized surface of the roots c_i, from that of the roots
-    scale^2 c_i: e -> e / scale^2 as a Fraction, r and D less 2 v(scale)."""
-    square = scale * scale
-    shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]
-    return NormalizedSurface(
-        Fraction(surface.e1, square),
-        Fraction(surface.e2, square),
-        surface.r - shift,
-        surface.big_d - shift,
-        surface.perm,
-    )
+    scale^2 c_i: e -> e / scale^2 as a Fraction, r and D less 2 v(scale).
+    At scale 1 only the type of e changes."""
+    if scale == 1:
+        e1, e2, shift = Fraction(surface.e1), Fraction(surface.e2), 0
+    else:
+        square = scale * scale
+        e1, e2 = Fraction(surface.e1, square), Fraction(surface.e2, square)
+        shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]
+    return NormalizedSurface(e1, e2, surface.r - shift, surface.big_d - shift, surface.perm)
 
 
 def _repro_command(d: Rational, roots: Iterable[Rational], place: Place) -> str:

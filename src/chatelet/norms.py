@@ -19,10 +19,7 @@ from .padic import (
     _as_rational,
     _nonzero,
     _valuation_and_unit,
-    legendre,
     require_prime_place,
-    unit_residue,
-    valuation,
 )
 # The unchecked body under the public name, which the perfbench spans patch:
 # norm_char_fn checks its place once, through the cached classify_extension.
@@ -56,6 +53,23 @@ class QuadExtClass:
     conductor_n: int = 0
 
 
+def _square_class_int(x: Rational) -> int:
+    """x itself, or numerator * denominator, which differs from x by the
+    square denominator^2: a nonzero int in the square class of x."""
+    t = x if isinstance(x, int) else _as_rational(x).numerator * x.denominator
+    if not t:
+        raise ValueError("chi is undefined at zero")
+    return t
+
+
+# The classes classify_extension returns, shared by every call.
+_SPLIT = QuadExtClass(ExtKind.SPLIT)
+_UNRAMIFIED = QuadExtClass(ExtKind.UNRAMIFIED)
+_RAMIFIED = QuadExtClass(ExtKind.RAMIFIED)  # odd p, and the real place
+_RAMIFIED_N1 = QuadExtClass(ExtKind.RAMIFIED, 1)  # p = 2, d = 3 mod 4
+_RAMIFIED_N2 = QuadExtClass(ExtKind.RAMIFIED, 2)  # p = 2, d = 2u
+
+
 # typed=True here and on norm_char_fn: a float equal to a cached Fraction
 # (0.5 and 1/2) must still reach the check instead of hitting the cache
 @lru_cache(maxsize=512, typed=True)
@@ -66,35 +80,28 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     (d = 2u, n = 2), so n = 1 + v_2(d) mod 2 (Serre, A Course in Arithmetic,
     ch. III).  Cached: local_chow, the enumerator and the classifier each ask
     for the class of the same (d, place).  A finite place is checked here,
-    before d, so the cache holds one primality test per (d, place)."""
+    before d, so the cache holds one primality test per (d, place).  The
+    classes returned are module constants shared by every call, not built
+    per call.
+
+    d is read through the int t = num(d) den(d), in its square class: v_p(t)
+    has the parity of v_p(d), and the unit of t is the unit of d times the
+    square of the unit of den(d), so it has the same Legendre symbol at odd p
+    and the same residue mod 8 at p = 2, where every odd square is 1."""
     p = place if place == REAL_PLACE else require_prime_place(place)
     d = _nonzero(d, "d must be nonzero")
     if p == REAL_PLACE:
-        if d > 0:
-            return QuadExtClass(ExtKind.SPLIT)
-        return QuadExtClass(ExtKind.RAMIFIED)  # conductor data unused here
-    v = valuation(d, p)
+        return _SPLIT if d > 0 else _RAMIFIED  # conductor data unused here
+    v, u = _valuation_and_unit(_square_class_int(d), p)
     if p != 2:
-        if v % 2 != 0:
-            return QuadExtClass(ExtKind.RAMIFIED)
-        if legendre(unit_residue(d, p, 1), p) == 0:
-            return QuadExtClass(ExtKind.SPLIT)
-        return QuadExtClass(ExtKind.UNRAMIFIED)
-    u = unit_residue(d, 2, 3)
-    if v % 2 == 0 and u == 1:
-        return QuadExtClass(ExtKind.SPLIT)
-    if v % 2 == 0 and u == 5:
-        return QuadExtClass(ExtKind.UNRAMIFIED)
-    return QuadExtClass(ExtKind.RAMIFIED, conductor_n=1 + v % 2)
-
-
-def _square_class_int(x: Rational) -> int:
-    """x itself, or numerator * denominator, which differs from x by the
-    square denominator^2: a nonzero int in the square class of x."""
-    t = x if isinstance(x, int) else _as_rational(x).numerator * x.denominator
-    if not t:
-        raise ValueError("chi is undefined at zero")
-    return t
+        if v % 2:
+            return _RAMIFIED
+        return _SPLIT if pow(u, (p - 1) // 2, p) == 1 else _UNRAMIFIED
+    if v % 2 == 0 and u % 8 == 1:
+        return _SPLIT
+    if v % 2 == 0 and u % 8 == 5:
+        return _UNRAMIFIED
+    return _RAMIFIED_N2 if v % 2 else _RAMIFIED_N1
 
 
 @lru_cache(maxsize=512, typed=True)
@@ -107,8 +114,11 @@ def norm_char_fn(d: Rational, place: Place):
     (d, u)_p = (u/p)^v_p(d) for a unit u, so chi is nontrivial on units
     exactly when v_p(d) is odd, that is when the extension is ramified; only
     then is the unit class read, by Euler's criterion, so a cached evaluator
-    holds no table of residues.  The place is checked once, by the cached
-    classify_extension."""
+    holds no table of residues.  The valuation coefficient at odd p is
+    c = (d, p)_p = v eps(p) + leg(u) for d = p^v u, eps(p) = (p - 1) / 2 mod 2
+    (Serre, A Course in Arithmetic, ch. III, Thm. 1), read from the int
+    num(d) den(d) of the square class of d as classify_extension reads it.
+    The place is checked once, by the cached classify_extension."""
     d = _nonzero(d, "d must be nonzero")
     ramified = classify_extension(d, place).kind is ExtKind.RAMIFIED
     if place == REAL_PLACE:
@@ -118,8 +128,8 @@ def norm_char_fn(d: Rational, place: Place):
 
         return ev_real
     p = place
-    c = hilbert_symbol(d, p, p)
     if p == 2:
+        c = hilbert_symbol(d, p, p)
         table = {u: hilbert_symbol(d, u, 2) for u in (1, 3, 5, 7)}
 
         def ev_dyadic(x) -> int:
@@ -129,12 +139,15 @@ def norm_char_fn(d: Rational, place: Place):
 
         return ev_dyadic
     half = (p - 1) // 2
+    v, u = _valuation_and_unit(_square_class_int(d), p)
+    c = (v * half + (pow(u, half, p) != 1)) % 2
 
     def ev_odd(x) -> int:
-        v, t = _valuation_and_unit(_square_class_int(x), p)
-        if ramified and pow(t, half, p) != 1:
-            return (c * v + 1) % 2
-        return c * v % 2
+        t = _square_class_int(x)
+        if t % p:  # v = 0, the common case, without a valuation call
+            return 1 if ramified and pow(t, half, p) != 1 else 0
+        v, t = _valuation_and_unit(t, p)
+        return (c * v + (ramified and pow(t, half, p) != 1)) % 2
 
     return ev_odd
 

@@ -106,7 +106,9 @@ def valuation(r: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational r."""
     _require_base(p)
     r = _nonzero(r, "the valuation of zero is undefined")
-    return _valuation_and_unit(r.numerator, p)[0] - _valuation_and_unit(r.denominator, p)[0]
+    v = _valuation_and_unit(r.numerator, p)[0]
+    den = r.denominator
+    return v if den == 1 else v - _valuation_and_unit(den, p)[0]
 
 
 def unit_residue(r: Rational, p: int, precision: int) -> int:

@@ -11,9 +11,11 @@ import chatelet.globalchow
 import chatelet.local
 from chatelet import (
     ContradictionError,
+    ExtKind,
     FactorizationError,
     Subgroup3,
     candidate_places,
+    classify_extension,
     global_chow,
     kernel_dimension,
     local_chow,
@@ -302,6 +304,37 @@ class TestIntegerHandOff:
         generators = json.loads(capsys.readouterr().out)["result"]["generators"]
         real = [r for r in rep.local_reports if r.place == "real"][0]
         assert generators == [list(g) for g in real.subgroup.basis]
+
+
+class TestEveryPlaceRunsBothRoutes:
+    """The sampled check is the full local computation: no place, candidate
+    or sampled, skips the enumerator or the classifier."""
+
+    @pytest.mark.parametrize(
+        "d,roots",
+        [
+            (-1, (0, 1, 2)),
+            (Fraction(-3, 4), (Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4))),
+        ],
+    )
+    def test_each_route_once_per_nonsplit_place(self, d, roots, monkeypatch):
+        runs = {"characteristic_subgroup": [], "classify_case": []}
+        for name, places in runs.items():
+
+            def counted(d0, surface, place, route=getattr(chatelet.local, name), places=places):
+                places.append(place)
+                return route(d0, surface, place)
+
+            monkeypatch.setattr(chatelet.local, name, counted)
+        rep = global_chow(d, *roots)
+        nonsplit = [
+            place
+            for place in (*rep.checked_places, *rep.sampled_primes)
+            if classify_extension(d, place).kind is not ExtKind.SPLIT
+        ]
+        assert set(nonsplit) & set(rep.sampled_primes)
+        assert runs["characteristic_subgroup"] == nonsplit
+        assert runs["classify_case"] == nonsplit
 
 
 class TestReciprocity:

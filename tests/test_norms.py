@@ -164,13 +164,18 @@ class TestNormCharFn:
     @pytest.mark.parametrize("p", [3, 5, 7, 1009])
     def test_odd_evaluator_matches_hilbert_symbol(self, p):
         # d of valuation 0, 1, -1 and 2, each a nonresidue unit times a power
-        # of p; x runs over every residue class, times p^-1, 1 and p^2
+        # of p; x runs over every residue class, times p^-1, 1 and p^2.  A
+        # residue unit at odd valuation gives (d, p)_p = eps(p) alone, which
+        # tells p = 1 mod 4 from p = 3 mod 4.
         nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        residue = next(n for n in range(p + 1, 2 * p) if pow(n, (p - 1) // 2, p) == 1)
         for d in (
             Fraction(nonresidue),
             Fraction(-p * nonresidue),
             Fraction(nonresidue, p),
             Fraction(-nonresidue * p * p),
+            Fraction(p * residue),
+            Fraction(residue, p),
         ):
             fn = norm_char_fn(d, p)
             for u in range(1, 2 * p + 1):
