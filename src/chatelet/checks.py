@@ -414,9 +414,9 @@ def check_sampled_membership(rng: random.Random, count: int = 200) -> SuiteResul
     inside the enumerated subgroup.
 
     x is drawn near each degenerate fiber at every depth from r - m down to
-    D + 2m + 3, past the level where the enumerator stops refining, and in the
-    far region v(x) < r - m, which it never visits (r = v(e1) = v(e2),
-    D = v(e1 - e2), m = conductor_n).
+    D + 2m + 3, past the deepest point the enumerator evaluates (D + 2m + 1),
+    and in the far region v(x) < r - m, which it never visits
+    (r = v(e1) = v(e2), D = v(e1 - e2), m = conductor_n).
     """
     tally = _Tally("sampled-membership")
     for i in range(count):
@@ -529,6 +529,8 @@ _CLI_SUITES: Tuple[Tuple[str, Callable[[random.Random, int], SuiteResult]], ...]
     ("reciprocity", check_reciprocity),
     ("sampled-membership", check_sampled_membership),
     ("equivariance", check_equivariance),
+    ("square-scaling", check_square_scaling),
+    ("root-scaling", check_root_scaling),
 )
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .factorint import RhoBudget, factorize, primes_below
+from .factorint import FactorizationError, RhoBudget, factorize, primes_below
 from .gf2 import gf2_rank
 from .local import (
     ContradictionError,
@@ -74,14 +74,20 @@ def _odd_prime_support(values: Iterable[Rational]) -> set:
 
 def candidate_places(d: Rational, c1: Rational, c2: Rational, c3: Rational) -> List[Place]:
     """Places where the local group can possibly be nontrivial: the real place, 2,
-    and odd primes dividing d or a root difference.  Empty if d is a square in Q."""
+    and odd primes dividing d or a root difference.  Empty if d is a square in Q.
+    A FactorizationError ends with the `chatelet global` line that repeats it."""
     d = _nonzero(d, "d must be nonzero")
     roots = _distinct_roots(c1, c2, c3)
     if is_rational_square(d):
         return []
     diffs = [roots[0] - roots[1], roots[0] - roots[2], roots[1] - roots[2]]
     places: List[Place] = [REAL_PLACE, 2]
-    places.extend(_odd_prime_support([d, *diffs]))
+    try:
+        places.extend(_odd_prime_support([d, *diffs]))
+    except FactorizationError as exc:
+        raise FactorizationError(
+            f"{exc}; reproduce with\n" + _repro_command(d, (c1, c2, c3)), exc.n
+        ) from exc
     return sorted(places, key=_place_sort_key)
 
 

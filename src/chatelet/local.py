@@ -220,30 +220,31 @@ def characteristic_points(
 
     * Every x with v(x) < r - m has triple (c, c, c); an even sum forces
       (0, 0, 0), the fiber at infinity, so refinement starts at p^(r - m) Z_p.
-    * A ball with v(b - e) < k - m for each e in {0, e1, e2} is resolved: all
-      three characters are constant on it, and x = b is yielded.
-    * A ball close to a single root e, with min(v(b - e), k) > v(e - e') + m
-      for both other roots e', has chi(x - e') = chi(e - e') throughout; an
-      even sum then forces the special-fiber image of e, so it is dropped.
-    * Any other ball is split, and one rule picks its children.  At m >= 1
-      (ramified p = 2) it keeps both.  At m = 0 (every odd p, and unramified
-      p = 2) it keeps the children that hold a root; a rootless child
-      b + j p^k is resolved at once.  Its triple is a constant (from the
-      roots e outside the ball, where x - e keeps the unit class of b - e)
-      plus leg(j - a_e) for each root e inside, a_e the residue of
+    * A ball that holds one root e alone, at a level k > v(e - e') + m for
+      both other roots e', has chi(x - e') = chi(e - e') throughout; an even
+      sum then forces the special-fiber image of e, so it is dropped.
+    * Any other ball is split by one rule at every place: it keeps the
+      children that hold a root, so every kept ball holds one.  A rootless
+      child lies p^k from each root inside the ball and farther from the
+      others, so all three characters are constant on each of its p^m
+      sub-balls of radius p^(k+1+m), and one point of each is evaluated.
+      At m = 0 the triple of a rootless child b + j p^k is a constant (from
+      the roots e outside the ball, where x - e keeps the unit class of
+      b - e) plus leg(j - a_e) for each root e inside, a_e the residue of
       (e - b) / p^k, where chi reads units (v_p(d) odd); it is constant
       where chi does not.  With s distinct a_e, at most 2^s triples occur
-      (one if chi ignores units).  The rootless children are scanned in
-      order, each new triple is yielded if its sum is even, and the scan
-      stops once all of them have been seen: no later child brings a new one.
-    * Balls visited, with no factor p: levels run from r - m to D + 2m + 1,
-      where every ball is resolved or dropped.  Each level keeps at most
-      three balls at m = 0 and 3 * 2^(m+1) at ramified p = 2.  An unramified
-      place evaluates one rootless child per split ball.  At ramified odd p
-      the rootless scan ends once every possible triple has shown up: by the
-      Weil bound on sum_j leg(f(j)) that happens within p children for every
-      p past a small bound, and in practice within a few dozen; at small p,
-      where some triple never occurs, it scans all p.
+      (one if chi ignores units), so the rootless children are scanned in
+      order and the scan stops once all of them have been seen.  At m >= 1,
+      only at p = 2, a ball that holds a root has at most one rootless
+      child, so the stop skips nothing there.
+    * Levels run from r - m to D + m + 1, where every kept ball holds one
+      root and is dropped; no evaluation goes deeper than D + 2m + 1.  Each
+      level keeps at most three balls at every place.  An unramified place
+      evaluates one rootless child per split ball.  At ramified odd p the
+      scan ends once every possible triple has shown up: by the Weil bound
+      on sum_j leg(f(j)) that happens within p children for every p past a
+      small bound, and in practice within a few dozen; at small p, where
+      some triple never occurs, it scans all p.
 
     The real place yields one sample per interval cut out by {0, e1, e2}.
     """
@@ -269,53 +270,47 @@ def characteristic_points(
     s = max(0, (m - r + 1) // 2)
     r += 2 * s
     big_d = surface.big_d + 2 * s
-    last = big_d + 2 * m + 1
-    # Integers congruent to the scaled roots far beyond every ball radius
+    last = big_d + m + 1
+    # Integers congruent to the scaled roots far beyond every sub-ball radius
     # stand in for them: closeness and the characters see the same values.
-    modulus = p ** (last + m + 2)
+    modulus = p ** (last + 2 * m + 2)
     square = p ** (2 * s)
     f1 = _integral_residue(e1 * square, modulus)
     f2 = _integral_residue(e2 * square, modulus)
     roots = (0, f1, f2)
-    # a ball close to roots[i] alone is dropped from level drop[i] on, once it
-    # lies inside roots[i] + p^drop[i] Z_p
+    # a ball that holds roots[i] alone is dropped from level drop[i] on
     drop = (r + m + 1, big_d + m + 1, big_d + m + 1)
-    drop_mod = (p ** drop[0], p ** drop[1], p ** drop[2])
 
     balls = [0]
     for k in range(r - m, last + 1):
-        near_mod = p ** max(k - m, 0)
         step = p**k
+        child = p * step
         children = []
         for b in balls:
-            near = [i for i in (0, 1, 2) if (b - roots[i]) % near_mod == 0]
-            if not near:
-                t = (c(b), c(b - f1), c(b - f2))
-                if sum(t) % 2 == 0:
-                    yield (b if s == 0 else Fraction(b, square)), t
+            inside = [i for i in (0, 1, 2) if (b - roots[i]) % step == 0]
+            if len(inside) == 1 and k >= drop[inside[0]]:
                 continue
-            if len(near) == 1:
-                i = near[0]
-                if k >= drop[i] and (b - roots[i]) % drop_mod[i] == 0:
-                    continue
-            split = range(b, b + p * step, step)
-            if m:
-                children.extend(split)
-                continue
-            held = {roots[i] % (p * step) for i in near}
+            held = {roots[i] % child for i in inside}
             children.extend(held)
             patterns = 2 ** len(held) if reads_units else 1
             seen = set()
-            for x in split:
+            for x in range(b, b + child, step):
                 if x in held:
                     continue
-                t = (c(x), c(x - f1), c(x - f2))
-                if t not in seen:
-                    seen.add(t)
-                    if sum(t) % 2 == 0:
-                        yield (x if s == 0 else Fraction(x, square)), t
-                    if len(seen) == patterns:
-                        break
+                # its p^m sub-balls, in the order a walk that splits every
+                # ball evaluates them
+                subs = [x]
+                for j in range(m):
+                    subs = [y + i * child * p**j for y in subs for i in range(p)]
+                for y in subs:
+                    t = (c(y), c(y - f1), c(y - f2))
+                    if t not in seen:
+                        seen.add(t)
+                        if sum(t) % 2 == 0:
+                            yield (y if s == 0 else Fraction(y, square)), t
+                # at m >= 1 (p = 2) this was the only rootless child
+                if len(seen) == patterns:
+                    break
         balls = children
     if balls:
         raise ArithmeticError(f"{len(balls)} balls left unresolved at level {last}")
@@ -423,10 +418,12 @@ def _unscaled(surface: NormalizedSurface, scale: int, place: Place) -> Normalize
     return NormalizedSurface(e1, e2, surface.r - shift, surface.big_d - shift, surface.perm)
 
 
-def _repro_command(d: Rational, roots: Iterable[Rational], place: Place) -> str:
-    """The `chatelet local` command line that recomputes one local group."""
+def _repro_command(d: Rational, roots: Iterable[Rational], place: Optional[Place] = None) -> str:
+    """The `chatelet local` command line that recomputes one local group, or
+    with no place the `chatelet global` one."""
     listed = ",".join(str(Fraction(c)) for c in roots)
-    return f"chatelet local --d={Fraction(d)} --roots={listed} --p={place}"
+    args = f"--d={Fraction(d)} --roots={listed}"
+    return f"chatelet global {args}" if place is None else f"chatelet local {args} --p={place}"
 
 
 def local_chow(

@@ -174,8 +174,10 @@ def characteristic_points(
 def all_children_points(
     d: Rational, surface: NormalizedSurface, p: int
 ) -> Iterator[Tuple[Rational, Triple]]:
-    """The ball enumerator of `chatelet.local.characteristic_points` at a
-    prime p, with every split ball refined into all p of its children."""
+    """A ball walk at a prime p that refines every split ball into all p of
+    its children and evaluates a ball once no root lies within p^(k - m) of
+    it, down to level D + 2m + 1.  `chatelet.local.characteristic_points`
+    keeps only the children that hold a root."""
     c = norm_char_fn(d, p)
     ext = classify_extension(d, p)
     if ext.kind is ExtKind.SPLIT:

@@ -89,6 +89,8 @@ def test_run_check_deterministic():
         "reciprocity",
         "sampled-membership",
         "equivariance",
+        "square-scaling",
+        "root-scaling",
     ]
 
 

@@ -203,7 +203,13 @@ class TestGlobalCommand:
     def test_factorization_exit(self, capsys):
         code = main(["global", "--d", UNCERTIFIABLE_PRIME, "--roots", "0,1,2"])
         assert code == EXIT_FACTORIZATION
-        assert "Miller-Rabin witness limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Miller-Rabin witness limit" in err
+        line = err.strip().splitlines()[-1]
+        assert line == f"chatelet global --d={UNCERTIFIABLE_PRIME} --roots=0,1,2"
+        argv = shlex.split(line)
+        assert argv[0] == "chatelet"
+        assert main(argv[1:]) == EXIT_FACTORIZATION
 
     def test_seeded_sampling_is_deterministic(self, capsys):
         main(["global", "--d", "-1", "--roots", "0,1,2", "--format", "json"])
@@ -245,6 +251,8 @@ class TestCheckCommand:
             "reciprocity",
             "sampled-membership",
             "equivariance",
+            "square-scaling",
+            "root-scaling",
         ]
         agreement = payload["checks"][0]
         assert agreement["failed"] == 0

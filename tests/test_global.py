@@ -61,6 +61,15 @@ class TestCandidatePlaces:
         with pytest.raises(FactorizationError):
             candidate_places(UNCERTIFIABLE_PRIME, 0, 1, 2)
 
+    def test_factorization_error_ends_with_repro_line(self):
+        # the caller's values, negative and fractional ones included
+        with pytest.raises(FactorizationError) as info:
+            candidate_places(Fraction(-1, 3) * UNCERTIFIABLE_PRIME, Fraction(-3, 2), 0, 1)
+        assert info.value.n == UNCERTIFIABLE_PRIME
+        assert str(info.value).splitlines()[-1] == (
+            f"chatelet global --d=-{UNCERTIFIABLE_PRIME}/3 --roots=-3/2,0,1"
+        )
+
     def test_shared_primes_are_factored_once(self, monkeypatch):
         from chatelet.factorint import factorize
 

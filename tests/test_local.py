@@ -563,6 +563,29 @@ class TestBallEnumerator:
                         assert {t for _, t in kept} == {t for _, t in full}, (d, e1, e2, p)
         assert labels == {"Prop2-i", "Prop2-ii", "Prop2-iii"}
 
+    def test_child_rule_matches_all_children_at_p2(self):
+        # Prop3-i/ii/iii at conductor 1 (d = -1, 3, 3/4) and 2 (d = 2, -6,
+        # 2/9): e1 = u 2^r for each unit u mod 8, r from -1 to 2, and
+        # v(e1 - e2) = r + 1 + gap, as two units differ by an even number
+        labels = set()
+        for d in (-1, 3, Fraction(3, 4), 2, -6, Fraction(2, 9)):
+            for u in (1, 3, 5, 7):
+                for r in (-1, 0, 1, 2):
+                    for gap in range(7):
+                        e1 = u * Fraction(2) ** r
+                        e2 = e1 + Fraction(2) ** (r + 1 + gap)
+                        surf = _surface(e1, e2, 2)
+                        assert valuation(e1 - e2, 2) - surf.r == 1 + gap
+                        labels.add(classify_case(d, surf, 2)[0])
+                        assert characteristic_subgroup(d, surf, 2) == (
+                            flat_sweep.all_children_subgroup(d, surf, 2)
+                        ), (d, e1, e2)
+                        kept = set(characteristic_points(d, surf, 2))
+                        full = set(flat_sweep.all_children_points(d, surf, 2))
+                        assert kept <= full, (d, e1, e2)
+                        assert {t for _, t in kept} == {t for _, t in full}, (d, e1, e2)
+        assert labels == {"Prop3-i", "Prop3-ii", "Prop3-iii"}
+
     @pytest.mark.parametrize("p", [1000000007, 1000000000039])
     def test_ramified_work_is_independent_of_p(self, p, monkeypatch):
         # each split ball yields at most one point per triple, 2^s for s
@@ -595,12 +618,13 @@ class TestBallEnumerator:
                     assert evaluations[0] <= 1000, (d, e1, e2, evaluations[0])
 
     def test_work_grows_linearly_with_root_congruence(self):
-        # conductor-2 class, e2 = 1 + 2^k: the flat sweep grew as 2^k
+        # conductor-2 class, e2 = 1 + 2^k: the flat sweep grew as 2^k, and
+        # each level past the first few adds at most two points
         counts = [
             len(list(characteristic_points(2, _surface(1, 1 + 2**k, 2), 2)))
             for k in (10, 20, 30)
         ]
-        assert counts[2] - counts[1] == counts[1] - counts[0]
+        assert counts[2] - counts[1] == counts[1] - counts[0] <= 2 * 10
         assert counts[2] < 4 * counts[0]
 
 
