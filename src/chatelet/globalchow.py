@@ -49,6 +49,22 @@ def _sample_pool() -> Tuple[int, ...]:
     return tuple(primes_below(_SAMPLE_POOL_LIMIT)[1:])
 
 
+def _draw(rng: random.Random, excluded: Iterable[int], size: int) -> Tuple[int, ...]:
+    """size primes of the pool, none of them excluded, drawn with rng and
+    sorted (all of the rest if fewer are left)."""
+    excluded = set(excluded)
+    pool = [p for p in _sample_pool() if p not in excluded]
+    return tuple(sorted(rng.sample(pool, min(size, len(pool)))))
+
+
+@lru_cache(maxsize=1024)
+def _default_sample(excluded: Tuple[int, ...], size: int) -> Tuple[int, ...]:
+    """The draw of a fresh random.Random(0), once per process for each set
+    of excluded pool primes: it depends on nothing else, and a stream of
+    calls repeats the same candidate sets."""
+    return _draw(random.Random(0), excluded, size)
+
+
 def _place_sort_key(place: Place) -> Tuple[int, int]:
     return (0, 0) if place == REAL_PLACE else (1, place)
 
@@ -143,7 +159,15 @@ def global_chow(
     denominators.  The nontrivial reports kept have `normalized` mapped back
     to the caller's coordinates.  A ContradictionError raised inside
     local_chow prints that integer surface in its reproduction line, which
-    recomputes the same local group."""
+    recomputes the same local group.
+
+    sample_primes must be an int >= 0 (TypeError, ValueError otherwise).
+    Without an rng the sample is that of random.Random(0), the same for equal
+    candidate sets, and is drawn once per process for each."""
+    if not isinstance(sample_primes, int):
+        raise TypeError(f"sample_primes must be an int, got {type(sample_primes).__name__}")
+    if sample_primes < 0:
+        raise ValueError(f"sample_primes must be >= 0, got {sample_primes}")
     d = Fraction(_nonzero(d, "d must be nonzero"))
     roots = tuple(map(Fraction, _distinct_roots(c1, c2, c3)))
     places = candidate_places(d, *roots)
@@ -161,10 +185,11 @@ def global_chow(
         )
     kernel = kernel_dimension([rep.subgroup for rep in nontrivial])
 
-    rng = rng if rng is not None else random.Random(0)
-    excluded = set(places)
-    pool = [p for p in _sample_pool() if p not in excluded]
-    sampled = tuple(sorted(rng.sample(pool, min(sample_primes, len(pool)))))
+    if rng is None:
+        in_pool = tuple(p for p in places if p != REAL_PLACE and 2 < p < _SAMPLE_POOL_LIMIT)
+        sampled = _default_sample(in_pool, sample_primes)
+    else:
+        sampled = _draw(rng, places, sample_primes)
     for q in sampled:
         rep = local_chow(d0, *ints, q)
         if rep.subgroup.dim != 0:

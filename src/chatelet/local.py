@@ -188,15 +188,11 @@ def special_fiber_images(
 
 
 def _real_samples(e1: Rational, e2: Rational) -> Tuple[Rational, ...]:
-    """One exact point inside each of the four real intervals cut out by 0,
-    e1, e2."""
-    cuts = sorted((0, e1, e2))
-    return (
-        cuts[0] - 1,
-        Fraction(cuts[0] + cuts[1], 2),
-        Fraction(cuts[1] + cuts[2], 2),
-        cuts[2] + 1,
-    )
+    """Twice one exact point inside each of the four real intervals cut out
+    by 0, e1, e2: ints when e1 and e2 are.  Only signs are read at the real
+    place, and 2x has the sign of x, so 2x is tested against 2e1 and 2e2."""
+    lo, mid, hi = sorted((0, e1, e2))
+    return (2 * lo - 2, lo + mid, mid + hi, 2 * hi + 2)
 
 
 def _integral_residue(e: Rational, modulus: int) -> int:
@@ -246,16 +242,18 @@ def characteristic_points(
       small bound, and in practice within a few dozen; at small p, where
       some triple never occurs, it scans all p.
 
-    The real place yields one sample per interval cut out by {0, e1, e2}.
+    The real place yields one exact sample per interval cut out by
+    {0, e1, e2}, evaluated on its double.
     """
     c = norm_char_fn(d, place)
     e1, e2 = surface.e1, surface.e2
 
     if place == REAL_PLACE:
+        f1, f2 = 2 * e1, 2 * e2
         for x in _real_samples(e1, e2):
-            t = (c(x), c(x - e1), c(x - e2))
+            t = (c(x), c(x - f1), c(x - f2))
             if sum(t) % 2 == 0:
-                yield x, t
+                yield Fraction(x, 2), t
         return
 
     p = place
@@ -350,8 +348,9 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
     if place == REAL_PLACE:
         if ext.kind is ExtKind.SPLIT:
             raise ValueError("d > 0 at the real place is the split case")
-        cubic = lambda x: x * (x - surface.e1) * (x - surface.e2)
-        intervals = sum(1 for x in _real_samples(surface.e1, surface.e2) if cubic(x) > 0)
+        f1, f2 = 2 * surface.e1, 2 * surface.e2
+        samples = _real_samples(surface.e1, surface.e2)
+        intervals = sum(1 for x in samples if x * (x - f1) * (x - f2) > 0)
         return _REAL_NEGATIVE, 2 ** (intervals - 1)
 
     p = place

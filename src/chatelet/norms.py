@@ -71,16 +71,19 @@ _RAMIFIED_N2 = QuadExtClass(ExtKind.RAMIFIED, 2)  # p = 2, d = 2u
 
 
 # typed=True here and on norm_char_fn: a float equal to a cached Fraction
-# (0.5 and 1/2) must still reach the check instead of hitting the cache
-@lru_cache(maxsize=512, typed=True)
+# (0.5 and 1/2) must still reach the check instead of hitting the cache.
+# 4096 entries hold the (d, place) pairs a stream of global calls repeats:
+# each call asks for about 25, its candidates and its sampled primes.
+@lru_cache(maxsize=4096, typed=True)
 def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     """Classify Q_v(sqrt(d)) as Split / Unramified / Ramified with conductor data.
 
     At p = 2 a ramified class has discriminant 4d (d = 3 mod 4, n = 1) or 8u
     (d = 2u, n = 2), so n = 1 + v_2(d) mod 2 (Serre, A Course in Arithmetic,
     ch. III).  Cached: local_chow, the enumerator and the classifier each ask
-    for the class of the same (d, place).  A finite place is checked here,
-    before d, so the cache holds one primality test per (d, place).  The
+    for the class of the same (d, place), and a stream of calls asks again.
+    A finite place is checked here, before d, by require_prime_place, which
+    tests the primality of each place once per process.  The
     classes returned are module constants shared by every call, not built
     per call.
 
@@ -104,7 +107,7 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     return _RAMIFIED_N2 if v % 2 else _RAMIFIED_N1
 
 
-@lru_cache(maxsize=512, typed=True)
+@lru_cache(maxsize=4096, typed=True)
 def norm_char_fn(d: Rational, place: Place):
     """chi(d, -, place) partially evaluated for speed: a valuation coefficient
     plus the values on unit classes.

@@ -6,11 +6,17 @@ import shlex
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chatelet.factorint
 import chatelet.globalchow
 import chatelet.local
+import chatelet.norms
+import chatelet.padic
 from chatelet import (
     ContradictionError,
+    DegenerateSurfaceError,
     ExtKind,
     FactorizationError,
     Subgroup3,
@@ -96,6 +102,7 @@ class TestCandidatePlaces:
 
         padic_is_prime = padic.is_prime
         monkeypatch.setattr(padic, "is_prime", counted)
+        padic._is_prime_place.cache_clear()
         norms.classify_extension.cache_clear()
         norms.norm_char_fn.cache_clear()
         rep = global_chow(-1, 0, 1, 2)
@@ -213,6 +220,7 @@ class TestGlobalChow:
 
         monkeypatch.setattr(chatelet.globalchow, "primes_below", counted)
         chatelet.globalchow._sample_pool.cache_clear()
+        chatelet.globalchow._default_sample.cache_clear()
         first = global_chow(-1, 0, 1, 2)
         global_chow(-1, 0, 1, 3)
         assert limits == [2000]
@@ -220,6 +228,16 @@ class TestGlobalChow:
             79, 229, 367, 389, 617, 733, 757, 839, 919, 941,
             1103, 1217, 1289, 1327, 1559, 1583, 1657, 1669, 1759, 1987,
         )
+
+    def test_sample_primes_must_be_an_int(self):
+        with pytest.raises(TypeError, match="sample_primes"):
+            global_chow(-1, 0, 1, 2, sample_primes=2.5)
+        with pytest.raises(TypeError, match="sample_primes"):
+            global_chow(-1, 0, 1, 2, sample_primes="20")
+
+    def test_negative_sample_primes_rejected(self):
+        with pytest.raises(ValueError, match="sample_primes"):
+            global_chow(-1, 0, 1, 2, sample_primes=-1)
 
     def test_sample_primes_zero(self):
         rep = global_chow(-1, 0, 1, 2, sample_primes=0)
@@ -344,6 +362,77 @@ class TestEveryPlaceRunsBothRoutes:
         assert set(nonsplit) & set(rep.sampled_primes)
         assert runs["characteristic_subgroup"] == nonsplit
         assert runs["classify_case"] == nonsplit
+
+
+def clear_program_caches():
+    """Empty every lru_cache the package keeps for the life of the process."""
+    for module in (chatelet.factorint, chatelet.padic, chatelet.norms, chatelet.globalchow):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-40, max_value=40), st.sampled_from([1, 1, 2, 3, 9])
+)
+calls = st.one_of(
+    st.tuples(st.just("global"), small_rationals.filter(bool), small_rationals,
+              small_rationals, small_rationals),
+    st.tuples(st.just("local"), small_rationals.filter(bool), small_rationals,
+              small_rationals, small_rationals, st.sampled_from(["real", 2, 3, 5, 7, 13])),
+)
+
+
+def _run(call):
+    kind, *args = call
+    try:
+        return (global_chow if kind == "global" else local_chow)(*args)
+    except DegenerateSurfaceError as exc:
+        return repr(exc)
+
+
+class TestProcessCaches:
+    """Primality of a place, the class and character of (d, place) and the
+    default sample are worked out once per process; nothing they return may
+    depend on what the caches hold."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(calls, min_size=1, max_size=4))
+    def test_warm_caches_give_cold_answers(self, sequence):
+        with wall_clock_guard(20):
+            cold = []
+            for call in sequence:
+                clear_program_caches()
+                cold.append(_run(call))
+            warm = [_run(call) for call in sequence]
+        assert warm == cold
+
+    def test_second_identical_call_works_nothing_out_again(self, monkeypatch):
+        norms = chatelet.norms
+        caches = (norms.classify_extension, norms.norm_char_fn, chatelet.globalchow._default_sample)
+        tested = []
+
+        def counted(n):
+            tested.append(n)
+            return padic_is_prime(n)
+
+        padic_is_prime = chatelet.padic.is_prime
+        monkeypatch.setattr(chatelet.padic, "is_prime", counted)
+        clear_program_caches()
+        args = (Fraction(-7, 3), 0, Fraction(1, 2), 5)
+        first = global_chow(*args)
+        assert tested
+        misses = [cache.cache_info().misses for cache in caches]
+        tested.clear()
+        assert global_chow(*args) == first
+        assert tested == []
+        assert [cache.cache_info().misses for cache in caches] == misses
+
+    def test_caller_rng_is_not_cached(self):
+        a = global_chow(-1, 0, 1, 2, rng=random.Random(3))
+        b = global_chow(-1, 0, 1, 2, rng=random.Random(4))
+        assert a.sampled_primes != b.sampled_primes
+        assert global_chow(-1, 0, 1, 2, rng=random.Random(0)) == global_chow(-1, 0, 1, 2)
 
 
 class TestReciprocity:

@@ -241,6 +241,34 @@ class TestHilbertSymbolFrozen:
             require_prime_place(1)
         assert require_prime_place(13) == 13
 
+    @pytest.mark.parametrize("place", [[2], {2: 3}, 2.0, "2"])
+    def test_non_int_place_rejected(self, place):
+        # the type is checked ahead of the cached primality test, so an
+        # unhashable place is a ValueError, not a TypeError from the cache
+        with pytest.raises(ValueError, match="place must be a prime or 'real'"):
+            hilbert_symbol(3, 5, place)
+        with pytest.raises(ValueError, match="place must be a prime or 'real'"):
+            is_local_square(3, place)
+
+    def test_primality_tested_once_per_place(self, monkeypatch):
+        from chatelet import padic
+
+        tested = []
+
+        def counted(n):
+            tested.append(n)
+            return padic_is_prime(n)
+
+        padic_is_prime = padic.is_prime
+        monkeypatch.setattr(padic, "is_prime", counted)
+        padic._is_prime_place.cache_clear()
+        for _ in range(3):
+            assert require_prime_place(13) == 13
+            assert hilbert_symbol(2, 3, 13) == 0
+            with pytest.raises(ValueError):
+                require_prime_place(15)
+        assert tested == [13, 15]
+
 
 class TestHilbertSymbolProperties:
     @settings(max_examples=150, deadline=None)
