@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import filterfalse
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .factorint import FactorizationError, RhoBudget, factorize, primes_below
@@ -52,8 +53,7 @@ def _sample_pool() -> Tuple[int, ...]:
 def _draw(rng: random.Random, excluded: Iterable[int], size: int) -> Tuple[int, ...]:
     """size primes of the pool, none of them excluded, drawn with rng and
     sorted (all of the rest if fewer are left)."""
-    excluded = set(excluded)
-    pool = [p for p in _sample_pool() if p not in excluded]
+    pool = list(filterfalse(set(excluded).__contains__, _sample_pool()))
     return tuple(sorted(rng.sample(pool, min(size, len(pool)))))
 
 
@@ -168,8 +168,9 @@ def global_chow(
         raise TypeError(f"sample_primes must be an int, got {type(sample_primes).__name__}")
     if sample_primes < 0:
         raise ValueError(f"sample_primes must be >= 0, got {sample_primes}")
-    d = Fraction(_nonzero(d, "d must be nonzero"))
-    roots = tuple(map(Fraction, _distinct_roots(c1, c2, c3)))
+    d = _nonzero(d, "d must be nonzero")
+    d = Fraction(d.numerator, d.denominator)
+    roots = tuple(Fraction(c.numerator, c.denominator) for c in _distinct_roots(c1, c2, c3))
     places = candidate_places(d, *roots)
     if not places:  # d is a square in Q: every completion splits
         return GlobalReport(d, roots, 0, (), (), ())
@@ -177,10 +178,17 @@ def global_chow(
     d0 = _integral_d(d)
     ints, scale = _integral_roots(roots)
     reports = [local_chow(d0, *ints, place) for place in places]
-    nontrivial = tuple(rep for rep in reports if rep.subgroup.dim > 0)
+    nontrivial = tuple(rep for rep in reports if rep.subgroup.basis)
     if scale != 1:
         nontrivial = tuple(
-            replace(rep, normalized=_unscaled(rep.normalized, scale, rep.place))
+            LocalReport(
+                rep.place,
+                rep.ext_class,
+                _unscaled(rep.normalized, scale, rep.place),
+                rep.case_label,
+                rep.predicted_order,
+                rep.subgroup,
+            )
             for rep in nontrivial
         )
     kernel = kernel_dimension([rep.subgroup for rep in nontrivial])
@@ -192,7 +200,7 @@ def global_chow(
         sampled = _draw(rng, places, sample_primes)
     for q in sampled:
         rep = local_chow(d0, *ints, q)
-        if rep.subgroup.dim != 0:
+        if rep.subgroup.basis:
             raise ContradictionError(
                 f"non-candidate prime {q} has a nontrivial local group; "
                 f"the candidate place set {places} is incomplete; reproduce with\n"

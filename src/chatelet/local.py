@@ -26,8 +26,9 @@ from .padic import (
     Place,
     Rational,
     _as_rational,
+    _valuation,
     _valuation_and_unit,
-    valuation,
+    require_prime_place,
 )
 
 __all__ = [
@@ -135,15 +136,11 @@ class LocalReport:
 
 
 def _distinct_roots(c1: Rational, c2: Rational, c3: Rational) -> Tuple[Rational, ...]:
-    roots = (_as_rational(c1), _as_rational(c2), _as_rational(c3))
-    if roots[0] == roots[1] or roots[0] == roots[2] or roots[1] == roots[2]:
+    a, b, c = roots = (_as_rational(c1), _as_rational(c2), _as_rational(c3))
+    if a == b or a == c or b == c:
         listed = ", ".join(str(c) for c in roots)
         raise DegenerateSurfaceError(f"roots must be pairwise distinct, got ({listed})")
     return roots
-
-
-# (base root, the other two) in order of preference
-_BASES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 
 
 def normalize_roots(c1: Rational, c2: Rational, c3: Rational, place: Place) -> NormalizedSurface:
@@ -151,8 +148,11 @@ def normalize_roots(c1: Rational, c2: Rational, c3: Rational, place: Place) -> N
 
     The ultrametric inequality forces the two smallest of the three pairwise
     difference valuations to coincide, so a valid base always exists; ties go
-    to the least original index.  At the real place the base is the smallest
-    root and (e1, e2) come out ascending.
+    to the least original index.  With v(c2 - c1) = v(c3 - c1) the base is
+    c1 and D = v(c3 - c2); otherwise v(c3 - c2) is the smaller of the two,
+    and the base is c2 or c3.  At the real place the base is the smallest
+    root and (e1, e2) come out ascending.  A finite place must be a prime
+    (ValueError otherwise), checked after the roots.
     """
     roots = _distinct_roots(c1, c2, c3)
     if place == REAL_PLACE:
@@ -160,17 +160,15 @@ def normalize_roots(c1: Rational, c2: Rational, c3: Rational, place: Place) -> N
         e1 = roots[j] - roots[i]
         e2 = roots[k] - roots[i]
         return NormalizedSurface(e1, e2, 0, 0, (i + 1, j + 1, k + 1))
-    p = place
-    # roots[j] - roots[i] (i < j) sits at i + j - 1; with base i, D is at 2 - i
-    diffs = (roots[1] - roots[0], roots[2] - roots[0], roots[2] - roots[1])
-    vals = [valuation(t, p) for t in diffs]
-    for i, j, k in _BASES:
-        a, b = i + j - 1, i + k - 1
-        if vals[a] == vals[b]:
-            e1 = diffs[a] if i < j else -diffs[a]
-            e2 = diffs[b] if i < k else -diffs[b]
-            return NormalizedSurface(e1, e2, vals[a], vals[2 - i], (i + 1, j + 1, k + 1))
-    raise ArithmeticError("no valid base root; the ultrametric inequality failed?")
+    p = require_prime_place(place)
+    c1, c2, c3 = roots
+    d21, d31, d32 = c2 - c1, c3 - c1, c3 - c2
+    v21, v31 = _valuation(d21, p), _valuation(d31, p)
+    if v21 == v31:
+        return NormalizedSurface(d21, d31, v21, _valuation(d32, p), (1, 2, 3))
+    if v21 < v31:
+        return NormalizedSurface(-d21, d32, v21, v31, (2, 1, 3))
+    return NormalizedSurface(-d31, -d32, v31, v21, (3, 1, 2))
 
 
 def special_fiber_images(
@@ -233,14 +231,17 @@ def characteristic_points(
       order and the scan stops once all of them have been seen.  At m >= 1,
       only at p = 2, a ball that holds a root has at most one rootless
       child, so the stop skips nothing there.
-    * Levels run from r - m to D + m + 1, where every kept ball holds one
-      root and is dropped; no evaluation goes deeper than D + 2m + 1.  Each
-      level keeps at most three balls at every place.  An unramified place
-      evaluates one rootless child per split ball.  At ramified odd p the
-      scan ends once every possible triple has shown up: by the Weil bound
-      on sum_j leg(f(j)) that happens within p children for every p past a
-      small bound, and in practice within a few dozen; at small p, where
-      some triple never occurs, it scans all p.
+    * Each kept ball carries the roots it holds, and a split ball hands
+      each of them to the child of its residue mod p^(k+1).  Levels run
+      from r - m to D + m: past D every ball holds one root, and at
+      D + m + 1 all of them are dropped; no evaluation goes deeper than
+      D + 2m + 1.  Each level keeps at most three balls at every place.
+      An unramified place evaluates one rootless child per split ball.  At
+      ramified odd p the scan ends once every possible triple has shown
+      up: by the Weil bound on sum_j leg(f(j)) that happens within p
+      children for every p past a small bound, and in practice within a
+      few dozen; at small p, where some triple never occurs, it scans all
+      p.
 
     The real place yields one exact sample per interval cut out by
     {0, e1, e2}, evaluated on its double.
@@ -277,30 +278,38 @@ def characteristic_points(
     f2 = _integral_residue(e2 * square, modulus)
     roots = (0, f1, f2)
     # a ball that holds roots[i] alone is dropped from level drop[i] on
-    drop = (r + m + 1, big_d + m + 1, big_d + m + 1)
+    drop = (r + m + 1, last, last)
+    # the p^m sub-balls of a rootless child x at level k are x + o p^(k+1)
+    # for o in digits, in the order a walk that splits every ball evaluates
+    # them (the p^(k+m) digit fastest)
+    digits = [0]
+    for j in range(m):
+        digits = [o + i * p**j for o in digits for i in range(p)]
 
-    balls = [0]
-    for k in range(r - m, last + 1):
+    # each kept ball with the indices of the roots it holds
+    balls = [(0, (0, 1, 2))]
+    for k in range(r - m, last):
         step = p**k
         child = p * step
         children = []
-        for b in balls:
-            inside = [i for i in (0, 1, 2) if (b - roots[i]) % step == 0]
-            if len(inside) == 1 and k >= drop[inside[0]]:
-                continue
-            held = {roots[i] % child for i in inside}
-            children.extend(held)
+        for b, inside in balls:
+            by_residue = {}
+            for i in inside:
+                h = roots[i] % child
+                by_residue[h] = by_residue.get(h, ()) + (i,)
+            # the children, and so the points, come in the order of this set
+            held = set(by_residue)
+            for h in held:
+                kept = by_residue[h]
+                if len(kept) > 1 or k + 1 < drop[kept[0]]:
+                    children.append((h, kept))
             patterns = 2 ** len(held) if reads_units else 1
             seen = set()
             for x in range(b, b + child, step):
                 if x in held:
                     continue
-                # its p^m sub-balls, in the order a walk that splits every
-                # ball evaluates them
-                subs = [x]
-                for j in range(m):
-                    subs = [y + i * child * p**j for y in subs for i in range(p)]
-                for y in subs:
+                for o in digits:
+                    y = x + o * child
                     t = (c(y), c(y - f1), c(y - f2))
                     if t not in seen:
                         seen.add(t)
@@ -325,12 +334,13 @@ def characteristic_subgroup(
     triple lies in the sum-zero plane, so the span is complete as soon as it
     reaches dimension 2.
     """
-    rows = reduce_rows(map(_triple_bits, special_fiber_images(d, surface, place)))
+    fibers = special_fiber_images(d, surface, place)
+    rows = reduce_rows([a << 2 | b << 1 | g for a, b, g in fibers])
     if len(rows) < 2:
-        for _, t in characteristic_points(d, surface, place):
-            b = _triple_bits(t)
-            if not member(b, rows):
-                rows = reduce_rows(rows + [b])
+        for _, (a, b, g) in characteristic_points(d, surface, place):
+            bits = a << 2 | b << 1 | g
+            if not member(bits, rows):
+                rows = reduce_rows(rows + [bits])
                 if len(rows) == 2:
                     break
     return Subgroup3(tuple(map(_bits_triple, rows))) if rows else TRIVIAL_SUBGROUP
@@ -375,20 +385,24 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
 
 
 def _to_global(subgroup: Subgroup3, perm: Tuple[int, int, int]) -> Subgroup3:
-    if not subgroup.basis:
+    """The subgroup with slot i moved to root perm[i].  Only a line moves:
+    its one basis vector is its canonical basis in any coordinates, and a
+    plane is the whole sum-zero plane, which every permutation fixes."""
+    if subgroup.dim != 1:
         return subgroup
-    vectors = []
-    for t in subgroup.basis:
-        g = [0, 0, 0]
-        for slot in range(3):
-            g[perm[slot] - 1] = t[slot]
-        vectors.append(tuple(g))
-    return Subgroup3.span(vectors)
+    (t,) = subgroup.basis
+    g = [0, 0, 0]
+    for slot, root in enumerate(perm):
+        g[root - 1] = t[slot]
+    return Subgroup3((tuple(g),))
 
 
 def _integral_d(d: Rational) -> Rational:
     """d * den(d)^2, an int in the square class of d.  Anything but a
-    Fraction is returned as it is, for classify_extension to check."""
+    Fraction is returned as it is, for classify_extension to check.  An int
+    is tested first: isinstance(int, Fraction) goes through the ABC check."""
+    if isinstance(d, int):
+        return d
     return d.numerator * d.denominator if isinstance(d, Fraction) else d
 
 
@@ -405,14 +419,16 @@ def _integral_roots(roots: Tuple[Rational, ...]) -> Tuple[Tuple[int, ...], int]:
 
 
 def _unscaled(surface: NormalizedSurface, scale: int, place: Place) -> NormalizedSurface:
-    """The normalized surface of the roots c_i, from that of the roots
-    scale^2 c_i: e -> e / scale^2 as a Fraction, r and D less 2 v(scale).
-    At scale 1 only the type of e changes."""
+    """The normalized surface of the roots c_i, from that of the integer
+    roots scale^2 c_i (e1 and e2 ints, or Fractions with denominator 1):
+    e -> e / scale^2 as a Fraction of ints, r and D less 2 v(scale).  At
+    scale 1 only the type of e changes."""
     if scale == 1:
-        e1, e2, shift = Fraction(surface.e1), Fraction(surface.e2), 0
+        e1, e2, shift = Fraction(surface.e1.numerator), Fraction(surface.e2.numerator), 0
     else:
         square = scale * scale
-        e1, e2 = Fraction(surface.e1, square), Fraction(surface.e2, square)
+        e1 = Fraction(surface.e1.numerator, square)
+        e2 = Fraction(surface.e2.numerator, square)
         shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]
     return NormalizedSurface(e1, e2, surface.r - shift, surface.big_d - shift, surface.perm)
 
@@ -443,14 +459,7 @@ def local_chow(
     roots = _distinct_roots(c1, c2, c3)
     if ext.kind is ExtKind.SPLIT:
         label = _REAL_POSITIVE if place == REAL_PLACE else _SPLIT
-        return LocalReport(
-            place=place,
-            ext_class=ext,
-            normalized=None,
-            case_label=label,
-            predicted_order=1,
-            subgroup=TRIVIAL_SUBGROUP,
-        )
+        return LocalReport(place, ext, None, label, 1, TRIVIAL_SUBGROUP)
 
     ints, scale = _integral_roots(roots)
     surface = normalize_roots(*ints, place)
@@ -465,10 +474,10 @@ def local_chow(
             enumerated_order=local_sub.order,
         )
     return LocalReport(
-        place=place,
-        ext_class=ext,
-        normalized=_unscaled(surface, scale, place),
-        case_label=label,
-        predicted_order=predicted,
-        subgroup=_to_global(local_sub, surface.perm),
+        place,
+        ext,
+        _unscaled(surface, scale, place),
+        label,
+        predicted,
+        _to_global(local_sub, surface.perm),
     )

@@ -113,7 +113,9 @@ def norm_char_fn(d: Rational, place: Place):
     plus the values on unit classes.
 
     The returned callable accepts a nonzero int or Fraction; zero raises
-    ValueError and any other type TypeError.  At odd p,
+    ValueError and any other type TypeError.  A nonzero int is read as it
+    is, its own square-class int; anything else goes through
+    _square_class_int, which checks it.  At odd p,
     (d, u)_p = (u/p)^v_p(d) for a unit u, so chi is nontrivial on units
     exactly when v_p(d) is odd, that is when the extension is ramified; only
     then is the unit class read, by Euler's criterion, so a cached evaluator
@@ -127,7 +129,8 @@ def norm_char_fn(d: Rational, place: Place):
     if place == REAL_PLACE:
 
         def ev_real(x) -> int:
-            return 1 if _square_class_int(x) < 0 and ramified else 0
+            t = x if type(x) is int and x else _square_class_int(x)
+            return 1 if t < 0 and ramified else 0
 
         return ev_real
     p = place
@@ -136,7 +139,7 @@ def norm_char_fn(d: Rational, place: Place):
         table = {u: hilbert_symbol(d, u, 2) for u in (1, 3, 5, 7)}
 
         def ev_dyadic(x) -> int:
-            t = _square_class_int(x)
+            t = x if type(x) is int and x else _square_class_int(x)
             v = (t & -t).bit_length() - 1
             return (c * v + table[(t >> v) & 7]) % 2
 
@@ -146,7 +149,7 @@ def norm_char_fn(d: Rational, place: Place):
     c = (v * half + (pow(u, half, p) != 1)) % 2
 
     def ev_odd(x) -> int:
-        t = _square_class_int(x)
+        t = x if type(x) is int and x else _square_class_int(x)
         if t % p:  # v = 0, the common case, without a valuation call
             return 1 if ramified and pow(t, half, p) != 1 else 0
         v, t = _valuation_and_unit(t, p)

@@ -112,7 +112,12 @@ def _valuation_and_unit(n: int, p: int) -> Tuple[int, int]:
 def valuation(r: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational r."""
     _require_base(p)
-    r = _nonzero(r, "the valuation of zero is undefined")
+    return _valuation(_nonzero(r, "the valuation of zero is undefined"), p)
+
+
+def _valuation(r: Rational, p: int) -> int:
+    """valuation for a nonzero int or Fraction r and an int p >= 2 that the
+    caller has checked."""
     v = _valuation_and_unit(r.numerator, p)[0]
     den = r.denominator
     return v if den == 1 else v - _valuation_and_unit(den, p)[0]

@@ -1,5 +1,6 @@
 """Local classifier and enumerator: normalization, fibers, ball refinement, reports."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -77,6 +78,18 @@ class TestNormalizeRoots:
     def test_repeated_roots_rejected(self, roots):
         with pytest.raises(DegenerateSurfaceError):
             normalize_roots(*roots, 3)
+
+    @pytest.mark.parametrize("roots,place", [((0, 1, 2), 4), ((0, 2, 6), 9)])
+    def test_composite_place_rejected(self, roots, place):
+        with pytest.raises(ValueError, match=f"got {place}"):
+            normalize_roots(*roots, place)
+
+    @pytest.mark.parametrize("place", [1, 0, -1, "x", 2.0])
+    def test_bad_place_rejected_within_guard(self, place):
+        # the valuation loops never end at p = 1 or -1
+        with wall_clock_guard(5):
+            with pytest.raises(ValueError, match="place must be a prime"):
+                normalize_roots(0, 1, 2, place)
 
     @pytest.mark.parametrize("place", [2, 3, 5, "real"])
     def test_matches_reference_on_small_triples(self, place):
@@ -616,6 +629,51 @@ class TestBallEnumerator:
                         points = list(characteristic_points(d, _surface(e1, e2, p), p))
                     assert len(points) <= 8 * (gap + 2), (d, e1, e2, len(points))
                     assert evaluations[0] <= 1000, (d, e1, e2, evaluations[0])
+
+    def test_enumerator_work_is_fixed(self, monkeypatch):
+        # the chi evaluations and the points of characteristic_subgroup over
+        # directed surfaces of every enumerable family and both dyadic
+        # conductors, on the Fraction surface of normalize_roots and on the
+        # integer one local_chow makes; they move only if the balls visited,
+        # their order (the sub-balls at p = 2) or the scan stop (ramified
+        # odd p) do.  Every point the walk yields, in order, is pinned too:
+        # characteristic_subgroup stops at a full span, so a reordering
+        # shows in the totals only when it moves that stop.
+        surfaces = []
+        for heavy in (False, True):
+            rng = random.Random(1414 + heavy)
+            for family in _ENUMERABLE_FAMILIES:
+                for _ in range(8):
+                    surfaces.append(random_surface(rng, family, heavy=heavy))
+        walks = [list(characteristic_points(d, normalize_roots(*roots, p), p))
+                 for d, roots, p in surfaces]
+        digest = hashlib.sha256(repr(walks).encode()).hexdigest()
+        assert digest == "1a4a566cdf73406ca479dea8bf927df3b0c4c7d68ec22cdd960815d8415f53b4"
+        evaluations = [0]
+        points = [0]
+        char_fn = chatelet.local.norm_char_fn
+        enumerate_points = chatelet.local.characteristic_points
+
+        def counted_char_fn(d, place):
+            ev = char_fn(d, place)
+
+            def count(x):
+                evaluations[0] += 1
+                return ev(x)
+
+            return count
+
+        def counted_points(*args):
+            for item in enumerate_points(*args):
+                points[0] += 1
+                yield item
+
+        monkeypatch.setattr(chatelet.local, "norm_char_fn", counted_char_fn)
+        monkeypatch.setattr(chatelet.local, "characteristic_points", counted_points)
+        for d, roots, p in surfaces:
+            characteristic_subgroup(d, normalize_roots(*roots, p), p)
+            local_chow(d, *roots, p)
+        assert (evaluations[0], points[0]) == (5256, 596)
 
     def test_work_grows_linearly_with_root_congruence(self):
         # conductor-2 class, e2 = 1 + 2^k: the flat sweep grew as 2^k, and
