@@ -370,11 +370,11 @@ def check_reciprocity(rng: random.Random, count: int = 200) -> SuiteResult:
 
 
 def check_order_agreement(rng: random.Random, count: int = 200) -> SuiteResult:
-    """Enumerated subgroup order equals the classifier prediction, per family.
+    """Enumerated subgroup equals the one the classifier's order fixes, per family.
 
-    local_chow performs the order cross-check internally and raises on any
-    disagreement; this suite additionally verifies the directed constructions
-    land in their intended family.
+    local_chow compares the subgroups themselves, not only their orders, and
+    raises on any disagreement; this suite additionally verifies the directed
+    constructions land in their intended family.
     """
     tally = _Tally("order-agreement")
     bins: Counter = Counter()

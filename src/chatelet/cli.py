@@ -2,13 +2,15 @@
 symbol evaluation, and the seeded self-check suites, as text or JSON.
 
 Exit codes: 0 success, 2 invalid input, 3 factorization failure, 4 internal
-contradiction or failed self-check.
+contradiction or failed self-check.  A reader that closes stdout early drops
+the output quietly and leaves the command's own code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -94,10 +96,6 @@ def _positive_int(text: str) -> int:
 # JSON shapes (insertion order is the output order)
 
 
-def _rational_json(value) -> str:
-    return str(Fraction(value))
-
-
 def _place_json(place: Place):
     return place if place == REAL_PLACE else int(place)
 
@@ -119,8 +117,8 @@ def _local_json(report: LocalReport) -> Dict:
         out["normalized"] = {
             "base_root_index": report.normalized.base_root_index,
             "perm": list(report.normalized.perm),
-            "e1": _rational_json(report.normalized.e1),
-            "e2": _rational_json(report.normalized.e2),
+            "e1": str(report.normalized.e1),
+            "e2": str(report.normalized.e2),
             "r": report.normalized.r,
         }
     return out
@@ -128,8 +126,8 @@ def _local_json(report: LocalReport) -> Dict:
 
 def _global_json(report: GlobalReport) -> Dict:
     return {
-        "d": _rational_json(report.d),
-        "roots": [_rational_json(c) for c in report.roots],
+        "d": str(report.d),
+        "roots": [str(c) for c in report.roots],
         "kernel_dim": report.kernel_dim,
         "group": report.group,
         "places": [_local_json(rep) for rep in report.local_reports],
@@ -226,8 +224,8 @@ def _run_local(args) -> Tuple[Dict, List[str], bool]:
     payload = {
         "command": "local",
         "inputs": {
-            "d": _rational_json(args.d),
-            "roots": [_rational_json(c) for c in args.roots],
+            "d": str(args.d),
+            "roots": [str(c) for c in args.roots],
             "place": _place_json(args.p),
         },
         "result": _local_json(report),
@@ -240,8 +238,8 @@ def _run_global(args) -> Tuple[Dict, List[str], bool]:
     payload = {
         "command": "global",
         "inputs": {
-            "d": _rational_json(args.d),
-            "roots": [_rational_json(c) for c in args.roots],
+            "d": str(args.d),
+            "roots": [str(c) for c in args.roots],
         },
         "result": _global_json(report),
     }
@@ -253,8 +251,8 @@ def _run_symbol(args) -> Tuple[Dict, List[str], bool]:
     payload = {
         "command": "symbol",
         "inputs": {
-            "a": _rational_json(args.a),
-            "b": _rational_json(args.b),
+            "a": str(args.a),
+            "b": str(args.b),
             "place": _place_json(args.p),
         },
         "result": value,
@@ -349,10 +347,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text_lines))
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            print("\n".join(text_lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head -1`); point stdout at the null device
+        # so that the interpreter's last flush has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if ok else EXIT_CONTRADICTION
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import filterfalse
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -15,6 +14,7 @@ from .local import (
     ContradictionError,
     LocalReport,
     Subgroup3,
+    TRIVIAL_SUBGROUP,
     _distinct_roots,
     _integral_d,
     _integral_roots,
@@ -126,8 +126,8 @@ def kernel_dimension(subgroups: Iterable[Subgroup3]) -> int:
 
 @dataclass(frozen=True)
 class GlobalReport:
-    d: Fraction
-    roots: Tuple[Fraction, Fraction, Fraction]
+    d: Rational  # d and the roots as the caller gave them
+    roots: Tuple[Rational, Rational, Rational]
     kernel_dim: int
     local_reports: Tuple[LocalReport, ...]  # nontrivial places only
     checked_places: Tuple[Place, ...]
@@ -153,7 +153,8 @@ def global_chow(
     """Global group as the kernel of the summation map over all candidate places,
     with a sanity sample of non-candidate primes asserted trivial.
 
-    The candidate places come from the caller's d and roots.  Every place then
+    candidate_places checks d and the roots once, and the report holds them
+    as the caller gave them, ints or Fractions.  Every place then
     runs on one integer surface, made once per call as local_chow would make
     it: d0 = d * den(d)^2 and the roots L^2 c_i, L the lcm of the root
     denominators.  The nontrivial reports kept have `normalized` mapped back
@@ -168,10 +169,8 @@ def global_chow(
         raise TypeError(f"sample_primes must be an int, got {type(sample_primes).__name__}")
     if sample_primes < 0:
         raise ValueError(f"sample_primes must be >= 0, got {sample_primes}")
-    d = _nonzero(d, "d must be nonzero")
-    d = Fraction(d.numerator, d.denominator)
-    roots = tuple(Fraction(c.numerator, c.denominator) for c in _distinct_roots(c1, c2, c3))
-    places = candidate_places(d, *roots)
+    places = candidate_places(d, c1, c2, c3)
+    roots = (c1, c2, c3)
     if not places:  # d is a square in Q: every completion splits
         return GlobalReport(d, roots, 0, (), (), ())
 
@@ -207,6 +206,8 @@ def global_chow(
                 + _repro_command(d, roots, q),
                 predicted_order=1,
                 enumerated_order=rep.subgroup.order,
+                predicted_subgroup=TRIVIAL_SUBGROUP,
+                enumerated_subgroup=rep.subgroup,
             )
     return GlobalReport(d, roots, kernel, nontrivial, tuple(places), sampled)
 

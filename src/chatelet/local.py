@@ -3,7 +3,7 @@
 Two independent routes are always run and cross-checked: an exhaustive
 enumeration of characteristic triples by p-adic ball refinement (authoritative
 for generators), and a case classifier that predicts the group order from the
-normalized root data alone.
+normalized root data alone; the order fixes the subgroup, which must match.
 """
 
 from __future__ import annotations
@@ -54,12 +54,24 @@ class DegenerateSurfaceError(ValueError):
 
 
 class ContradictionError(RuntimeError):
-    """Enumerated subgroup and classifier prediction disagree."""
+    """Enumerated subgroup and classifier prediction disagree.
 
-    def __init__(self, message: str, predicted_order: int, enumerated_order: int):
+    Both subgroups are in global root coordinates; predicted_subgroup is None
+    where the predicted order fixes no subgroup of the sum-zero plane."""
+
+    def __init__(
+        self,
+        message: str,
+        predicted_order: int,
+        enumerated_order: int,
+        predicted_subgroup: Optional["Subgroup3"] = None,
+        enumerated_subgroup: Optional["Subgroup3"] = None,
+    ):
         super().__init__(message)
         self.predicted_order = predicted_order
         self.enumerated_order = enumerated_order
+        self.predicted_subgroup = predicted_subgroup
+        self.enumerated_subgroup = enumerated_subgroup
 
 
 def _triple_bits(t: Triple) -> int:
@@ -98,8 +110,24 @@ class Subgroup3:
             out |= {e ^ _triple_bits(b) for e in out}
         return [_bits_triple(e) for e in sorted(out)]
 
+    def __str__(self) -> str:
+        return "<" + ", ".join("(%d,%d,%d)" % t for t in self.basis) + ">"
+
 
 TRIVIAL_SUBGROUP = Subgroup3(())
+
+# The subgroup that each predicted order fixes, in local slots, against which
+# local_chow checks the enumerated one.  The sum-zero plane has dimension 2,
+# so orders 1 and 4 fix the trivial group and the whole plane.  Every order-2
+# family (Prop1-ii, Prop2-i, Prop3-i, Real-d-negative) has chi(e1) = 0 with
+# e1 and e2 the close pair, and its group is the line <(0,1,1)>, whose
+# elements have 0 in the 0-slot; no order-2 place has shown another line.
+# Any other order is a contradiction in itself.
+_SUBGROUP_OF_ORDER = {
+    1: TRIVIAL_SUBGROUP,
+    2: Subgroup3.span([(0, 1, 1)]),
+    4: Subgroup3.span([(1, 0, 1), (0, 1, 1)]),
+}
 
 
 @dataclass(frozen=True)
@@ -110,8 +138,9 @@ class NormalizedSurface:
     perm maps the local fiber slots (0-fiber, e1-fiber, e2-fiber) to 1-based
     original root indices; base_root_index, perm[0], is the root moved to 0.
     e1 and e2 have the type of the roots they came from: ints inside
-    local_chow, which normalizes its integer surface, and Fractions in
-    LocalReport.normalized, which is in the caller's coordinates.
+    local_chow, which normalizes its integer surface.  LocalReport.normalized
+    is in the caller's coordinates: that same surface of ints when every root
+    is integral (L = 1), and Fractions e / L^2 otherwise.
     """
 
     e1: Rational
@@ -232,7 +261,9 @@ def characteristic_points(
       only at p = 2, a ball that holds a root has at most one rootless
       child, so the stop skips nothing there.
     * Each kept ball carries the roots it holds, and a split ball hands
-      each of them to the child of its residue mod p^(k+1).  Levels run
+      each of them to the child of its residue mod p^(k+1).  The kept
+      children come in the order of the least root index each holds (0, e1,
+      e2), and the rootless ones in ascending residue.  Levels run
       from r - m to D + m: past D every ball holds one root, and at
       D + m + 1 all of them are dropped; no evaluation goes deeper than
       D + 2m + 1.  Each level keeps at most three balls at every place.
@@ -297,16 +328,13 @@ def characteristic_points(
             for i in inside:
                 h = roots[i] % child
                 by_residue[h] = by_residue.get(h, ()) + (i,)
-            # the children, and so the points, come in the order of this set
-            held = set(by_residue)
-            for h in held:
-                kept = by_residue[h]
+            for h, kept in by_residue.items():
                 if len(kept) > 1 or k + 1 < drop[kept[0]]:
                     children.append((h, kept))
-            patterns = 2 ** len(held) if reads_units else 1
+            patterns = 2 ** len(by_residue) if reads_units else 1
             seen = set()
             for x in range(b, b + child, step):
-                if x in held:
+                if x in by_residue:
                     continue
                 for o in digits:
                     y = x + o * child
@@ -358,10 +386,10 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
     if place == REAL_PLACE:
         if ext.kind is ExtKind.SPLIT:
             raise ValueError("d > 0 at the real place is the split case")
-        f1, f2 = 2 * surface.e1, 2 * surface.e2
-        samples = _real_samples(surface.e1, surface.e2)
-        intervals = sum(1 for x in samples if x * (x - f1) * (x - f2) > 0)
-        return _REAL_NEGATIVE, 2 ** (intervals - 1)
+        # the order is 2^(k - 1) for the k real intervals where the cubic is
+        # positive; for three distinct roots its signs on the four intervals
+        # cut out by them run -, +, -, +, so k = 2 on every surface
+        return _REAL_NEGATIVE, 2
 
     p = place
     if ext.kind is ExtKind.SPLIT:
@@ -420,24 +448,22 @@ def _integral_roots(roots: Tuple[Rational, ...]) -> Tuple[Tuple[int, ...], int]:
 
 def _unscaled(surface: NormalizedSurface, scale: int, place: Place) -> NormalizedSurface:
     """The normalized surface of the roots c_i, from that of the integer
-    roots scale^2 c_i (e1 and e2 ints, or Fractions with denominator 1):
-    e -> e / scale^2 as a Fraction of ints, r and D less 2 v(scale).  At
-    scale 1 only the type of e changes."""
+    roots scale^2 c_i: the surface itself at scale 1, where the coordinates
+    agree, and otherwise e -> e / scale^2 as a Fraction, r and D less
+    2 v(scale)."""
     if scale == 1:
-        e1, e2, shift = Fraction(surface.e1.numerator), Fraction(surface.e2.numerator), 0
-    else:
-        square = scale * scale
-        e1 = Fraction(surface.e1.numerator, square)
-        e2 = Fraction(surface.e2.numerator, square)
-        shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]
+        return surface
+    square = scale * scale
+    shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]
+    e1, e2 = Fraction(surface.e1, square), Fraction(surface.e2, square)
     return NormalizedSurface(e1, e2, surface.r - shift, surface.big_d - shift, surface.perm)
 
 
 def _repro_command(d: Rational, roots: Iterable[Rational], place: Optional[Place] = None) -> str:
     """The `chatelet local` command line that recomputes one local group, or
     with no place the `chatelet global` one."""
-    listed = ",".join(str(Fraction(c)) for c in roots)
-    args = f"--d={Fraction(d)} --roots={listed}"
+    listed = ",".join(map(str, roots))
+    args = f"--d={d} --roots={listed}"
     return f"chatelet global {args}" if place is None else f"chatelet local {args} --p={place}"
 
 
@@ -452,8 +478,13 @@ def local_chow(
     L the lcm of the root denominators.  That surface is isomorphic over Q to
     the caller's, so its local group, case and generators are the caller's;
     only `normalized` is mapped back, e -> e / L^2 (a Fraction) and r and D
-    less 2 v(L).  On integer input, as global_chow passes it, the conversion
-    changes nothing."""
+    less 2 v(L).  At L = 1 the coordinates agree and `normalized` is the
+    integer surface itself, ints in e1 and e2.  On integer input, as
+    global_chow passes it, the conversion changes nothing.
+
+    The routes must agree on the subgroup, not only on its order: the
+    enumerated one must be the subgroup that the predicted order fixes (see
+    _SUBGROUP_OF_ORDER), or a ContradictionError names both."""
     d0 = _integral_d(d)
     ext = classify_extension(d0, place)  # checks the place, then d
     roots = _distinct_roots(c1, c2, c3)
@@ -465,13 +496,18 @@ def local_chow(
     surface = normalize_roots(*ints, place)
     local_sub = characteristic_subgroup(d0, surface, place)
     label, predicted = classify_case(d0, surface, place)
-    if local_sub.order != predicted:
+    expected = _SUBGROUP_OF_ORDER.get(predicted)
+    if local_sub != expected:
+        predicted_sub = None if expected is None else _to_global(expected, surface.perm)
+        found = _to_global(local_sub, surface.perm)
         raise ContradictionError(
-            f"classifier predicts order {predicted} for {label} but enumeration "
-            f"found order {local_sub.order}; reproduce with\n"
-            + _repro_command(d, (c1, c2, c3), place),
+            f"classifier predicts order {predicted} ({predicted_sub or 'no subgroup'}) "
+            f"for {label} but enumeration found order {found.order} ({found}); "
+            "reproduce with\n" + _repro_command(d, (c1, c2, c3), place),
             predicted_order=predicted,
-            enumerated_order=local_sub.order,
+            enumerated_order=found.order,
+            predicted_subgroup=predicted_sub,
+            enumerated_subgroup=found,
         )
     return LocalReport(
         place,

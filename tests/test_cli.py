@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -296,3 +299,32 @@ class TestParserPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == EXIT_INVALID_INPUT
+
+
+class TestClosedStdout:
+    """A reader that exits early (`| head -1`) costs no traceback and no
+    undocumented exit code: the command keeps its own code."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["global", "--d", "-3/4", "--roots", "1/2,5/3,-7/4", "--format", "json"],
+            ["check", "--seed", "0", "--fuzz-count", "2"],
+        ],
+    )
+    def test_closed_pipe_is_quiet(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the command writes a byte
+        src = os.path.dirname(os.path.dirname(chatelet.cli.__file__))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "chatelet", *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == EXIT_OK

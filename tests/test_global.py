@@ -323,6 +323,9 @@ class TestIntegerHandOff:
         )
         with pytest.raises(ContradictionError) as exc:
             global_chow(Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4))
+        # no subgroup of the sum-zero plane has order 8
+        assert exc.value.predicted_subgroup is None
+        assert "(no subgroup)" in str(exc.value)
         line = str(exc.value).splitlines()[-1]
         assert line == "chatelet local --d=-12 --roots=72,240,-252 --p=real"
         monkeypatch.undo()

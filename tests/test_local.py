@@ -372,6 +372,28 @@ class TestLocalChow:
             local_chow(-1, 0, 1, 5, 2)
         assert exc.value.predicted_order == 1
         assert exc.value.enumerated_order == 4
+        assert exc.value.predicted_subgroup == TRIVIAL_SUBGROUP
+        assert exc.value.enumerated_subgroup.order == 4
+
+    def test_wrong_line_of_the_right_order_is_refused(self, monkeypatch):
+        # Prop1-ii at p = 3 has order 2, and its group is <(0,1,1)> in local
+        # slots; an enumerator that reports the other line <(1,1,0)> agrees
+        # on the order alone, and the subgroup check must still refuse it
+        assert local_chow(-1, 0, 1, 9, 3).case_label == "Prop1-ii"
+        wrong = Subgroup3.span([(1, 1, 0)])
+        monkeypatch.setattr(
+            chatelet.local, "characteristic_subgroup", lambda d, surf, place: wrong
+        )
+        with pytest.raises(ContradictionError) as exc:
+            local_chow(-1, 0, 1, 9, 3)
+        error = exc.value
+        assert error.predicted_order == error.enumerated_order == 2
+        # base root c2 = 1 moves to slot 0: perm (2, 1, 3)
+        assert error.predicted_subgroup == Subgroup3.span([(1, 0, 1)])
+        assert error.enumerated_subgroup == Subgroup3.span([(1, 1, 0)])
+        message = str(error)
+        assert "<(1,0,1)>" in message and "<(1,1,0)>" in message
+        assert message.splitlines()[-1] == "chatelet local --d=-1 --roots=0,1,9 --p=3"
 
 
 class TestIntegerNormalForm:
@@ -390,8 +412,13 @@ class TestIntegerNormalForm:
             as_fraction = local_chow(Fraction(d), *map(Fraction, ints), place)
             assert as_int == as_fraction, (family, d, ints, place)
             assert repr(as_int) == repr(as_fraction)
+            # at L = 1 `normalized` is the integer surface, ints for either
+            # input type; at L != 1 it holds the Fractions e / L^2
             if as_int.normalized is not None:
-                assert type(as_int.normalized.e1) is type(as_int.normalized.e2) is Fraction
+                assert type(as_int.normalized.e1) is type(as_int.normalized.e2) is int
+                if square != 1:
+                    scaled = local_chow(d, *roots, place).normalized
+                    assert type(scaled.e1) is type(scaled.e2) is Fraction
 
     def test_normalized_stays_in_caller_coordinates(self):
         # L = 12: the integer surface has its e times 144 and its r and D
@@ -638,7 +665,8 @@ class TestBallEnumerator:
         # their order (the sub-balls at p = 2) or the scan stop (ramified
         # odd p) do.  Every point the walk yields, in order, is pinned too:
         # characteristic_subgroup stops at a full span, so a reordering
-        # shows in the totals only when it moves that stop.
+        # shows in the totals only when it moves that stop.  The kept
+        # children come in root-index order, not in the order of a set.
         surfaces = []
         for heavy in (False, True):
             rng = random.Random(1414 + heavy)
@@ -648,7 +676,7 @@ class TestBallEnumerator:
         walks = [list(characteristic_points(d, normalize_roots(*roots, p), p))
                  for d, roots, p in surfaces]
         digest = hashlib.sha256(repr(walks).encode()).hexdigest()
-        assert digest == "1a4a566cdf73406ca479dea8bf927df3b0c4c7d68ec22cdd960815d8415f53b4"
+        assert digest == "2aa0100d80c672add95deaedc63ae6b198385be87e1cf7ef44de6a9752ed534c"
         evaluations = [0]
         points = [0]
         char_fn = chatelet.local.norm_char_fn

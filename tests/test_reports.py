@@ -13,9 +13,10 @@ from fractions import Fraction
 from chatelet import global_chow, local_chow
 from chatelet.padic import REAL_PLACE
 
-# Recorded before the per-place fixed costs were cut; a change that moves any
-# report field on purpose records the new digest and says why.
-REPORTS_SHA256 = "719f47564a024395e5c54f2383ea169a9c4e731e169a676c8ed588d4f0f64b71"
+# A change that moves any report field on purpose records the new digest and
+# says why.  Last moved when `normalized` at L = 1 and the d and roots of a
+# GlobalReport began to keep ints as ints: only Fraction(n, 1) became n.
+REPORTS_SHA256 = "f96400369f833cf9761b252f77253b0ebc5975e82d4d4e03ceb55b0ed4a8544e"
 
 _PLACES = (REAL_PLACE, REAL_PLACE, 2, 2, 2, 3, 3, 3, 5, 5, 7, 7, 11, 13, 1013, 10007)
 
