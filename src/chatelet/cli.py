@@ -29,6 +29,15 @@ EXIT_FACTORIZATION = 3
 EXIT_CONTRADICTION = 4
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[+-]?\d+)?")
+# An argument is echoed in an error message up to this many characters.
+_ECHO_LIMIT = 80
+
+
+def _echo(text: str) -> str:
+    """text quoted for an error message, cut to _ECHO_LIMIT characters."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -36,19 +45,26 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
         raise argparse.ArgumentTypeError(
-            f"malformed rational {text!r}: use forms like 7, -3, or -3/20"
+            f"malformed rational {_echo(text)}: use forms like 7, -3, or -3/20"
         )
     num, _, den = s.partition("/")
-    if den and int(den) == 0:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # the digits checked out, so only the length is wrong
+        raise argparse.ArgumentTypeError(
+            f"integer past Python's {sys.get_int_max_str_digits()}-digit limit "
+            f"for int strings in {_echo(text)}"
+        ) from None
+    if den == 0:
+        raise argparse.ArgumentTypeError(f"zero denominator in {_echo(text)}")
+    return Fraction(num, den)
 
 
 def parse_roots(text: str) -> Tuple[Fraction, Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
-            f"expected three comma-separated roots, got {text!r}"
+            f"expected three comma-separated roots, got {_echo(text)}"
         )
     return tuple(parse_rational(part) for part in parts)
 
@@ -61,7 +77,7 @@ def parse_place(text: str) -> Place:
         p = int(s)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"place must be a prime number or 'real', got {text!r}"
+            f"place must be a prime number or 'real', got {_echo(text)}"
         ) from None
     try:
         return require_prime_place(p)

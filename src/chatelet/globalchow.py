@@ -65,18 +65,14 @@ def _default_sample(excluded: Tuple[int, ...], size: int) -> Tuple[int, ...]:
     return _draw(random.Random(0), excluded, size)
 
 
-def _place_sort_key(place: Place) -> Tuple[int, int]:
-    return (0, 0) if place == REAL_PLACE else (1, place)
-
-
 def _odd_prime_support(values: Iterable[Rational]) -> set:
     """Odd primes dividing a numerator or denominator of the values.  Each is
     first divided by the primes already found, so a prime shared by several
     values (P and Q in every root difference s - (s + aPQ)) is factored once.
     All the factoring draws on one rho budget, that of the largest value, so
     a call costs at most what factoring its largest value may cost."""
-    parts = [n for value in values for n in (value.numerator, value.denominator)]
-    budget = RhoBudget(max(abs(n) for n in parts))
+    parts = [n for value in values for n in value.as_integer_ratio()]
+    budget = RhoBudget(max(map(abs, parts)))
     primes: set = set()
     for n in parts:
         for p in primes:
@@ -97,14 +93,13 @@ def candidate_places(d: Rational, c1: Rational, c2: Rational, c3: Rational) -> L
     if is_rational_square(d):
         return []
     diffs = [roots[0] - roots[1], roots[0] - roots[2], roots[1] - roots[2]]
-    places: List[Place] = [REAL_PLACE, 2]
     try:
-        places.extend(_odd_prime_support([d, *diffs]))
+        odd = _odd_prime_support([d, *diffs])
     except FactorizationError as exc:
         raise FactorizationError(
             f"{exc}; reproduce with\n" + _repro_command(d, (c1, c2, c3)), exc.n
         ) from exc
-    return sorted(places, key=_place_sort_key)
+    return [REAL_PLACE, 2, *sorted(odd)]
 
 
 def kernel_dimension(subgroups: Iterable[Subgroup3]) -> int:
@@ -114,7 +109,7 @@ def kernel_dimension(subgroups: Iterable[Subgroup3]) -> int:
     rows: List[int] = []
     for sub in subgroups:
         bits = [_triple_bits(t) for t in sub.basis]
-        if any(b == 0 for b in bits) or gf2_rank(bits) != len(bits):
+        if 0 in bits or gf2_rank(bits) != len(bits):
             raise ValueError(f"subgroup basis is not independent: {sub.basis}")
         for t in sub.basis:
             if sum(t) % 2 != 0:
@@ -175,11 +170,11 @@ def global_chow(
         return GlobalReport(d, roots, 0, (), (), ())
 
     d0 = _integral_d(d)
-    ints, scale = _integral_roots(roots)
-    reports = [local_chow(d0, *ints, place) for place in places]
-    nontrivial = tuple(rep for rep in reports if rep.subgroup.basis)
+    (n1, n2, n3), scale = _integral_roots(roots)
+    reports = [local_chow(d0, n1, n2, n3, place) for place in places]
+    nontrivial = [rep for rep in reports if rep.subgroup.basis]
     if scale != 1:
-        nontrivial = tuple(
+        nontrivial = [
             LocalReport(
                 rep.place,
                 rep.ext_class,
@@ -189,16 +184,16 @@ def global_chow(
                 rep.subgroup,
             )
             for rep in nontrivial
-        )
+        ]
     kernel = kernel_dimension([rep.subgroup for rep in nontrivial])
 
     if rng is None:
-        in_pool = tuple(p for p in places if p != REAL_PLACE and 2 < p < _SAMPLE_POOL_LIMIT)
+        in_pool = tuple([p for p in places[2:] if p < _SAMPLE_POOL_LIMIT])  # odd candidates
         sampled = _default_sample(in_pool, sample_primes)
     else:
         sampled = _draw(rng, places, sample_primes)
     for q in sampled:
-        rep = local_chow(d0, *ints, q)
+        rep = local_chow(d0, n1, n2, n3, q)
         if rep.subgroup.basis:
             raise ContradictionError(
                 f"non-candidate prime {q} has a nontrivial local group; "
@@ -209,7 +204,7 @@ def global_chow(
                 predicted_subgroup=TRIVIAL_SUBGROUP,
                 enumerated_subgroup=rep.subgroup,
             )
-    return GlobalReport(d, roots, kernel, nontrivial, tuple(places), sampled)
+    return GlobalReport(d, roots, kernel, tuple(nontrivial), tuple(places), sampled)
 
 
 @dataclass(frozen=True)
@@ -227,8 +222,6 @@ def reciprocity_check(a: Rational, b: Rational) -> ReciprocityReport:
     sum must vanish."""
     a = _nonzero(a, "reciprocity needs nonzero arguments")
     b = _nonzero(b, "reciprocity needs nonzero arguments")
-    places: List[Place] = [REAL_PLACE, 2]
-    places.extend(_odd_prime_support([a, b]))
-    places.sort(key=_place_sort_key)
+    places = [REAL_PLACE, 2, *sorted(_odd_prime_support([a, b]))]
     symbols = {place: hilbert_symbol(a, b, place) for place in places}
     return ReciprocityReport(symbols, sum(symbols.values()) % 2)

@@ -48,6 +48,14 @@ __all__ = [
 
 Triple = Tuple[int, int, int]
 
+# The kinds as module constants: before Python 3.12 the enum metaclass defines
+# __getattr__, which sends every ExtKind.X lookup down the slow attribute path
+# (about 0.15 us, ten times what a global costs), and a place reads the
+# kind six times.
+_SPLIT_KIND = ExtKind.SPLIT
+_UNRAMIFIED_KIND = ExtKind.UNRAMIFIED
+_RAMIFIED_KIND = ExtKind.RAMIFIED
+
 
 class DegenerateSurfaceError(ValueError):
     """The three roots are not pairwise distinct."""
@@ -118,10 +126,8 @@ TRIVIAL_SUBGROUP = Subgroup3(())
 
 # The subgroup that each predicted order fixes, in local slots, against which
 # local_chow checks the enumerated one.  The sum-zero plane has dimension 2,
-# so orders 1 and 4 fix the trivial group and the whole plane.  Every order-2
-# family (Prop1-ii, Prop2-i, Prop3-i, Real-d-negative) has chi(e1) = 0 with
-# e1 and e2 the close pair, and its group is the line <(0,1,1)>, whose
-# elements have 0 in the 0-slot; no order-2 place has shown another line.
+# so orders 1 and 4 fix the trivial group and the whole plane; order 2 fixes
+# the line <(0,1,1)>, for the reasons classify_case gives family by family.
 # Any other order is a contradiction in itself.
 _SUBGROUP_OF_ORDER = {
     1: TRIVIAL_SUBGROUP,
@@ -149,6 +155,18 @@ class NormalizedSurface:
     big_d: int
     perm: Tuple[int, int, int]
 
+    # Fills the instance dict directly: the generated __init__ of a frozen
+    # dataclass sets each field through object.__setattr__, three times the
+    # cost, and every non-split place builds one.  Setting and deleting
+    # fields still raise FrozenInstanceError.
+    def __init__(self, e1: Rational, e2: Rational, r: int, big_d: int, perm: Tuple[int, int, int]):
+        fields = self.__dict__
+        fields["e1"] = e1
+        fields["e2"] = e2
+        fields["r"] = r
+        fields["big_d"] = big_d
+        fields["perm"] = perm
+
     @property
     def base_root_index(self) -> int:
         return self.perm[0]
@@ -163,10 +181,38 @@ class LocalReport:
     predicted_order: int
     subgroup: Subgroup3  # in global root coordinates
 
+    # Fills the instance dict as NormalizedSurface's does: every place builds one.
+    def __init__(
+        self,
+        place: Place,
+        ext_class: QuadExtClass,
+        normalized: Optional[NormalizedSurface],
+        case_label: str,
+        predicted_order: int,
+        subgroup: Subgroup3,
+    ):
+        fields = self.__dict__
+        fields["place"] = place
+        fields["ext_class"] = ext_class
+        fields["normalized"] = normalized
+        fields["case_label"] = case_label
+        fields["predicted_order"] = predicted_order
+        fields["subgroup"] = subgroup
+
 
 def _distinct_roots(c1: Rational, c2: Rational, c3: Rational) -> Tuple[Rational, ...]:
+    """The roots as they are, once _as_rational has checked each and they are
+    pairwise distinct.  Three distinct ints, what every place of global_chow
+    gets, pass on their type and three comparisons; anything else, a bool
+    included, goes through the check."""
+    if type(c1) is int and type(c2) is int and type(c3) is int:
+        if c1 != c2 and c1 != c3 and c2 != c3:
+            return c1, c2, c3
     a, b, c = roots = (_as_rational(c1), _as_rational(c2), _as_rational(c3))
-    if a == b or a == c or b == c:
+    # (numerator, denominator) is canonical for ints and Fractions alike, and
+    # comparing it skips the numbers.Rational check of Fraction.__eq__, at half
+    # the cost
+    if len({a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()}) < 3:
         listed = ", ".join(str(c) for c in roots)
         raise DegenerateSurfaceError(f"roots must be pairwise distinct, got ({listed})")
     return roots
@@ -207,7 +253,7 @@ def special_fiber_images(
     normalized surface (local slot coordinates), from m = chi(-1), a = chi(e1),
     b = chi(e2) and g = chi(e1 - e2) as chi is additive: (0, 0, 0),
     (a + b, m + a, m + b), (a, a + g, g) and (b, m + g, m + b + g) over F2."""
-    if classify_extension(d, place).kind is ExtKind.SPLIT:
+    if classify_extension(d, place).kind is _SPLIT_KIND:
         raise ValueError("d is a local square; the character is trivial here")
     c = norm_char_fn(d, place)
     m, a, b, g = c(-1), c(surface.e1), c(surface.e2), c(surface.e1 - surface.e2)
@@ -290,23 +336,26 @@ def characteristic_points(
 
     p = place
     ext = classify_extension(d, p)
-    if ext.kind is ExtKind.SPLIT:
+    if ext.kind is _SPLIT_KIND:
         raise ValueError("d is a local square; nothing to enumerate")
     m = ext.conductor_n
-    reads_units = ext.kind is ExtKind.RAMIFIED
+    reads_units = ext.kind is _RAMIFIED_KIND
     r = surface.r
     # x -> p^(2s) x multiplies by a square, so the triples do not change, and
     # it makes the start ball p^(r - m) Z_p integral.
-    s = max(0, (m - r + 1) // 2)
+    s = (m - r + 1) // 2 if r < m else 0
     r += 2 * s
     big_d = surface.big_d + 2 * s
     last = big_d + m + 1
     # Integers congruent to the scaled roots far beyond every sub-ball radius
     # stand in for them: closeness and the characters see the same values.
     modulus = p ** (last + 2 * m + 2)
-    square = p ** (2 * s)
-    f1 = _integral_residue(e1 * square, modulus)
-    f2 = _integral_residue(e2 * square, modulus)
+    if s == 0 and type(e1) is int and type(e2) is int:
+        f1, f2 = e1 % modulus, e2 % modulus
+    else:
+        square = p ** (2 * s)
+        f1 = _integral_residue(e1 * square, modulus)
+        f2 = _integral_residue(e2 * square, modulus)
     roots = (0, f1, f2)
     # a ball that holds roots[i] alone is dropped from level drop[i] on
     drop = (r + m + 1, last, last)
@@ -363,7 +412,8 @@ def characteristic_subgroup(
     reaches dimension 2.
     """
     fibers = special_fiber_images(d, surface, place)
-    rows = reduce_rows([a << 2 | b << 1 | g for a, b, g in fibers])
+    # the fiber at infinity, fibers[0], maps to (0, 0, 0) and spans nothing
+    rows = reduce_rows([a << 2 | b << 1 | g for a, b, g in fibers[1:]])
     if len(rows) < 2:
         for _, (a, b, g) in characteristic_points(d, surface, place):
             bits = a << 2 | b << 1 | g
@@ -381,10 +431,28 @@ _REAL_NEGATIVE = "Real-d-negative"
 
 
 def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tuple[str, int]:
-    """Predict the group order from normalized root data, without enumeration."""
+    """Predict the group order from normalized root data, without enumeration.
+
+    Every order-2 family has the group <(0, 1, 1)> in local slots: no point
+    x of the surface has chi(x) = 1, so each triple lies in {(0, 0, 0),
+    (0, 1, 1)}, and order 2 leaves only that line.  A point has an even
+    triple, chi(x) = chi(x - e1) + chi(x - e2), so chi(x) = 1 would need
+    chi(x - e1) != chi(x - e2).  The reason that cannot happen:
+
+    * Real-d-negative: chi(x) = 1 exactly for x < 0, and y^2 - d z^2 >= 0
+      keeps every point where x (x - e1) (x - e2) >= 0 with 0 < e1 < e2,
+      so x >= 0 throughout.
+    * Prop1-ii, Prop2-i and Prop3-i: the pair is close, D - r >= 2m + 1
+      for the conductor exponent m (the depth below).  Write x - e2 =
+      (x - e1)(1 - (e2 - e1) / (x - e1)): the characters of x - e1 and
+      x - e2 differ only where v(x - e1) >= D - m, and there v(x / e1 - 1)
+      >= D - m - r > m, so chi(x) = chi(e1).  Each family has chi(e1) = 0:
+      Prop1-ii as chi = v mod 2 at an unramified place and r is even, and
+      Prop2-i and Prop3-i by the criterion below.
+    """
     ext = classify_extension(d, place)
     if place == REAL_PLACE:
-        if ext.kind is ExtKind.SPLIT:
+        if ext.kind is _SPLIT_KIND:
             raise ValueError("d > 0 at the real place is the split case")
         # the order is 2^(k - 1) for the k real intervals where the cubic is
         # positive; for three distinct roots its signs on the four intervals
@@ -392,10 +460,10 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
         return _REAL_NEGATIVE, 2
 
     p = place
-    if ext.kind is ExtKind.SPLIT:
+    if ext.kind is _SPLIT_KIND:
         raise ValueError("d is a local square; no case to classify")
     r, big_d = surface.r, surface.big_d
-    if ext.kind is ExtKind.UNRAMIFIED:
+    if ext.kind is _UNRAMIFIED_KIND:
         if r % 2 != 0:
             return "Prop1-iii", 4
         if big_d == r:
@@ -416,7 +484,7 @@ def _to_global(subgroup: Subgroup3, perm: Tuple[int, int, int]) -> Subgroup3:
     """The subgroup with slot i moved to root perm[i].  Only a line moves:
     its one basis vector is its canonical basis in any coordinates, and a
     plane is the whole sum-zero plane, which every permutation fixes."""
-    if subgroup.dim != 1:
+    if len(subgroup.basis) != 1:
         return subgroup
     (t,) = subgroup.basis
     g = [0, 0, 0]
@@ -439,20 +507,21 @@ def _integral_roots(roots: Tuple[Rational, ...]) -> Tuple[Tuple[int, ...], int]:
     c_i.  x -> L^2 x multiplies the cubic by the square L^6, so with d in
     place of its square class the surfaces are isomorphic over Q."""
     c1, c2, c3 = roots
-    if c1.denominator == c2.denominator == c3.denominator == 1:
-        return (c1.numerator, c2.numerator, c3.numerator), 1
-    scale = lcm(c1.denominator, c2.denominator, c3.denominator)
+    if type(c1) is int and type(c2) is int and type(c3) is int:
+        return roots, 1
+    n1, m1 = c1.as_integer_ratio()
+    n2, m2 = c2.as_integer_ratio()
+    n3, m3 = c3.as_integer_ratio()
+    scale = lcm(m1, m2, m3)
     square = scale * scale
-    return tuple(c.numerator * (square // c.denominator) for c in roots), scale
+    return (n1 * (square // m1), n2 * (square // m2), n3 * (square // m3)), scale
 
 
 def _unscaled(surface: NormalizedSurface, scale: int, place: Place) -> NormalizedSurface:
     """The normalized surface of the roots c_i, from that of the integer
-    roots scale^2 c_i: the surface itself at scale 1, where the coordinates
-    agree, and otherwise e -> e / scale^2 as a Fraction, r and D less
-    2 v(scale)."""
-    if scale == 1:
-        return surface
+    roots scale^2 c_i for a scale > 1: e -> e / scale^2 as a Fraction, r and
+    D less 2 v(scale).  At scale 1 the coordinates agree, and callers keep
+    the integer surface itself."""
     square = scale * scale
     shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]
     e1, e2 = Fraction(surface.e1, square), Fraction(surface.e2, square)
@@ -488,16 +557,16 @@ def local_chow(
     d0 = _integral_d(d)
     ext = classify_extension(d0, place)  # checks the place, then d
     roots = _distinct_roots(c1, c2, c3)
-    if ext.kind is ExtKind.SPLIT:
+    if ext.kind is _SPLIT_KIND:
         label = _REAL_POSITIVE if place == REAL_PLACE else _SPLIT
         return LocalReport(place, ext, None, label, 1, TRIVIAL_SUBGROUP)
 
-    ints, scale = _integral_roots(roots)
-    surface = normalize_roots(*ints, place)
+    (n1, n2, n3), scale = _integral_roots(roots)
+    surface = normalize_roots(n1, n2, n3, place)
     local_sub = characteristic_subgroup(d0, surface, place)
     label, predicted = classify_case(d0, surface, place)
     expected = _SUBGROUP_OF_ORDER.get(predicted)
-    if local_sub != expected:
+    if expected is None or local_sub.basis != expected.basis:
         predicted_sub = None if expected is None else _to_global(expected, surface.perm)
         found = _to_global(local_sub, surface.perm)
         raise ContradictionError(
@@ -512,7 +581,7 @@ def local_chow(
     return LocalReport(
         place,
         ext,
-        _unscaled(surface, scale, place),
+        surface if scale == 1 else _unscaled(surface, scale, place),
         label,
         predicted,
         _to_global(local_sub, surface.perm),

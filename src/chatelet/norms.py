@@ -56,7 +56,7 @@ class QuadExtClass:
 def _square_class_int(x: Rational) -> int:
     """x itself, or numerator * denominator, which differs from x by the
     square denominator^2: a nonzero int in the square class of x."""
-    t = x if isinstance(x, int) else _as_rational(x).numerator * x.denominator
+    t = x if type(x) is int else _as_rational(x).numerator * x.denominator
     if not t:
         raise ValueError("chi is undefined at zero")
     return t
@@ -95,7 +95,7 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     d = _nonzero(d, "d must be nonzero")
     if p == REAL_PLACE:
         return _SPLIT if d > 0 else _RAMIFIED  # conductor data unused here
-    v, u = _valuation_and_unit(_square_class_int(d), p)
+    v, u = _valuation_and_unit(d.numerator * d.denominator, p)  # d checked above
     if p != 2:
         if v % 2:
             return _RAMIFIED
@@ -145,7 +145,7 @@ def norm_char_fn(d: Rational, place: Place):
 
         return ev_dyadic
     half = (p - 1) // 2
-    v, u = _valuation_and_unit(_square_class_int(d), p)
+    v, u = _valuation_and_unit(d.numerator * d.denominator, p)  # d checked above
     c = (v * half + (pow(u, half, p) != 1)) % 2
 
     def ev_odd(x) -> int:

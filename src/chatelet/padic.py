@@ -66,8 +66,9 @@ def _as_rational(r: Rational) -> Rational:
     """The one check of caller input: an int or a Fraction, returned as it is,
     so that integer input stays on int arithmetic.
 
-    Anything else, a float or a str included, raises TypeError."""
-    if isinstance(r, (int, Fraction)):
+    Anything else, a bool, a float or a str included, raises TypeError: a
+    bool would print as False or True in a reproduction line."""
+    if isinstance(r, (int, Fraction)) and type(r) is not bool:
         return r
     raise TypeError(f"expected an exact rational, got {type(r).__name__}")
 
@@ -161,9 +162,9 @@ def is_local_square(r: Rational, place: Place) -> bool:
 def is_rational_square(r: Rational) -> bool:
     """Whether r is a square in Q itself (exact test)."""
     r = _as_rational(r)
-    if r < 0:
-        return False
     num, den = r.numerator, r.denominator
+    if num < 0:  # the sign of a Fraction is that of its numerator
+        return False
     return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
 
 

@@ -136,6 +136,24 @@ class TestLocalCommand:
     @pytest.mark.parametrize(
         "args",
         [
+            ["--d", "-1", "--roots", "0,1," + "1" * 4400],
+            ["--d", "-1/" + "7" * 4400, "--roots", "0,1,2"],
+        ],
+    )
+    def test_overlong_integer_exits_via_argparse(self, args, capsys):
+        # past Python's 4300-digit int-string limit: the message names the
+        # limit and echoes the argument cut short, not its 4400 digits
+        with pytest.raises(SystemExit) as exc:
+            main(["local", *args, "--p", "3"])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "4300-digit limit" in err
+        assert "(4400 characters)" in err or "(4403 characters)" in err
+        assert len(err) < 300
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["--d", "-3/4", "--roots", "-1,0,1", "--p", "2"],
             ["--d=-3/4", "--roots=-1,0,1", "--p=2"],
         ],

@@ -74,6 +74,16 @@ class TestNormalizeRoots:
         shifted = sorted(c - base for c in roots)
         assert sorted((Fraction(0), surf.e1, surf.e2)) == shifted
 
+    @pytest.mark.parametrize("place", [2, 3, 5, "real"])
+    def test_mixed_spellings_agree(self, place):
+        # ints beside Fractions of denominator 2 or 3 give the surface of the
+        # all-Fraction spelling: (0, 1, 3/2) at 3 has c1 and c3 as its close
+        # pair, though c2 - c1 is an int prime to 3
+        values = [*range(-4, 5), *(Fraction(n, q) for q in (2, 3) for n in range(-4, 5) if n % q)]
+        for roots in itertools.permutations(values, 3):
+            as_fractions = tuple(map(Fraction, roots))
+            assert normalize_roots(*roots, place) == normalize_roots(*as_fractions, place), roots
+
     @pytest.mark.parametrize("roots", [(1, 1, 2), (0, 3, 3), (5, 2, 5)])
     def test_repeated_roots_rejected(self, roots):
         with pytest.raises(DegenerateSurfaceError):

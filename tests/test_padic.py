@@ -64,9 +64,11 @@ _ENTRY_POINTS = {
 
 class TestExactRationalInputs:
     """Library entry points take an int or a Fraction; anything else is a
-    TypeError, never a silent conversion."""
+    TypeError, never a silent conversion.  A bool is refused too, although it
+    is an int: kept as the caller's value it would print as True or False,
+    which no command line accepts back."""
 
-    @pytest.mark.parametrize("value", [0.5, "3"], ids=["float", "str"])
+    @pytest.mark.parametrize("value", [0.5, "3", True], ids=["float", "str", "bool"])
     @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
     def test_inexact_value_raises_type_error(self, entry, value):
         with pytest.raises(TypeError, match="expected an exact rational"):

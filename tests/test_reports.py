@@ -1,4 +1,5 @@
-"""Every field of the reports stays as it is: a digest over seeded calls.
+"""Every field of the reports stays as it is: a digest over seeded calls,
+the frozen-dataclass contract, and one answer for two spellings of a surface.
 
 The answers pinned elsewhere cover groups, orders and labels; this digest
 also covers `normalized` (values and types), `ext_class`, the checked places
@@ -6,11 +7,27 @@ and the sampled primes, over local calls at the real place, 2, 3, 5, 7 and
 larger odd primes with int and Fraction input, and over global calls.
 """
 
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
-from chatelet import global_chow, local_chow
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from guards import wall_clock_guard
+from chatelet import (
+    ExtKind,
+    LocalReport,
+    characteristic_points,
+    classify_extension,
+    global_chow,
+    local_chow,
+    normalize_roots,
+)
 from chatelet.padic import REAL_PLACE
 
 # A change that moves any report field on purpose records the new digest and
@@ -75,3 +92,80 @@ def report_lines():
 def test_reports_digest():
     digest = hashlib.sha256("\n".join(report_lines()).encode()).hexdigest()
     assert digest == REPORTS_SHA256
+
+
+# One report of each kind with every field set: a nontrivial place of a
+# surface with L = 6, whose `normalized` holds Fractions.
+_REPORT = local_chow(Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4), 3)
+_FROZEN = [_REPORT, _REPORT.normalized]
+
+
+@pytest.mark.parametrize("obj", _FROZEN, ids=lambda obj: type(obj).__name__)
+class TestFrozenDataclassContract:
+    """LocalReport and NormalizedSurface fill their fields in a hand-written
+    __init__; they must behave as the generated frozen dataclass would."""
+
+    def test_fields_cannot_be_set_or_deleted(self, obj):
+        name = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.extra = 1
+
+    def test_init_takes_every_field_by_position_and_by_name(self, obj):
+        values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        assert list(values) == list(type(obj).__annotations__)
+        assert type(obj)(*values.values()) == obj
+        assert type(obj)(**values) == obj
+        with pytest.raises(TypeError):
+            type(obj)(*list(values.values())[:-1])
+
+    def test_eq_hash_and_repr_read_the_fields(self, obj):
+        values = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+        assert hash(obj) == hash(values)
+        listed = ", ".join(f"{f.name}={v!r}" for f, v in zip(dataclasses.fields(obj), values))
+        assert repr(obj) == f"{type(obj).__qualname__}({listed})"
+        other = dataclasses.replace(obj, **{dataclasses.fields(obj)[-1].name: None})
+        assert other != obj and obj == dataclasses.replace(obj)
+
+    def test_asdict_recurses(self, obj):
+        as_dict = dataclasses.asdict(obj)
+        assert list(as_dict) == [f.name for f in dataclasses.fields(obj)]
+        if isinstance(obj, LocalReport):
+            assert as_dict["subgroup"] == {"basis": obj.subgroup.basis}
+            assert as_dict["normalized"] == dataclasses.asdict(obj.normalized)
+
+    def test_copies_and_pickles_are_equal(self, obj):
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert clone == obj and hash(clone) == hash(obj) and repr(clone) == repr(obj)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(clone, dataclasses.fields(obj)[0].name, None)
+
+
+_SPELLING_PLACES = (REAL_PLACE, 2, 3, 5, 7, 997)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-300, 300).filter(bool),
+    st.lists(st.integers(-2000, 2000), min_size=3, max_size=3, unique=True),
+)
+def test_int_and_fraction_spellings_agree(d, roots):
+    """ints take the int paths of the root check, the conversion,
+    normalize_roots and the enumerator, and Fractions with denominator 1 the
+    general ones: both must give the same surfaces, points and reports."""
+    fractions = (Fraction(d), *map(Fraction, roots))
+    with wall_clock_guard(10):
+        for place in _SPELLING_PLACES:
+            assert local_chow(d, *roots, place) == local_chow(*fractions, place), place
+            surfaces = normalize_roots(*roots, place), normalize_roots(*fractions[1:], place)
+            assert surfaces[0] == surfaces[1], place
+            if classify_extension(d, place).kind is not ExtKind.SPLIT:
+                points = [list(characteristic_points(d, surf, place)) for surf in surfaces]
+                assert points[0] == points[1], place
+        as_ints, as_fractions = global_chow(d, *roots), global_chow(*fractions)
+    for field in dataclasses.fields(as_ints):
+        if field.name not in ("d", "roots"):
+            assert getattr(as_ints, field.name) == getattr(as_fractions, field.name), field.name
