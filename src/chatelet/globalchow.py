@@ -157,10 +157,11 @@ def global_chow(
     local_chow prints that integer surface in its reproduction line, which
     recomputes the same local group.
 
-    sample_primes must be an int >= 0 (TypeError, ValueError otherwise).
+    sample_primes must be an int >= 0, not a bool (TypeError, ValueError
+    otherwise).
     Without an rng the sample is that of random.Random(0), the same for equal
     candidate sets, and is drawn once per process for each."""
-    if not isinstance(sample_primes, int):
+    if not isinstance(sample_primes, int) or type(sample_primes) is bool:
         raise TypeError(f"sample_primes must be an int, got {type(sample_primes).__name__}")
     if sample_primes < 0:
         raise ValueError(f"sample_primes must be >= 0, got {sample_primes}")
@@ -187,11 +188,11 @@ def global_chow(
         ]
     kernel = kernel_dimension([rep.subgroup for rep in nontrivial])
 
+    in_pool = tuple([p for p in places[2:] if p < _SAMPLE_POOL_LIMIT])  # odd candidates
     if rng is None:
-        in_pool = tuple([p for p in places[2:] if p < _SAMPLE_POOL_LIMIT])  # odd candidates
         sampled = _default_sample(in_pool, sample_primes)
     else:
-        sampled = _draw(rng, places, sample_primes)
+        sampled = _draw(rng, in_pool, sample_primes)
     for q in sampled:
         rep = local_chow(d0, n1, n2, n3, q)
         if rep.subgroup.basis:

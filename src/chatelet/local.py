@@ -291,12 +291,20 @@ def characteristic_points(
       (0, 0, 0), the fiber at infinity, so refinement starts at p^(r - m) Z_p.
     * A ball that holds one root e alone, at a level k > v(e - e') + m for
       both other roots e', has chi(x - e') = chi(e - e') throughout; an even
-      sum then forces the special-fiber image of e, so it is dropped.
-    * Any other ball is split by one rule at every place: it keeps the
-      children that hold a root, so every kept ball holds one.  A rootless
-      child lies p^k from each root inside the ball and farther from the
-      others, so all three characters are constant on each of its p^m
-      sub-balls of radius p^(k+1+m), and one point of each is evaluated.
+      sum then forces the special-fiber image of e, so it is dropped.  Hence
+      the balls of level k are the classes mod p^k of the roots live there,
+      taken in the order of the least root index each holds (0, e1, e2):
+      0, e1 and e2 share one ball up to level r, 0 holds its ball alone
+      after r and is live up to r + m, and e1 and e2 share one ball up to
+      D, hold one each after it, and are live up to D + m, where the walk
+      ends.  Each level has at most three balls, and no evaluation goes
+      deeper than D + 2m + 1.
+    * Each ball of level k is split into p children by one rule at every
+      place: those that hold a root are balls of level k + 1 or dropped,
+      and the rootless ones are resolved at level k, in ascending residue.
+      A rootless child lies p^k from each root inside the ball and farther
+      from the others, so all three characters are constant on each of its
+      p^m sub-balls of radius p^(k+1+m), and one point of each is evaluated.
       At m = 0 the triple of a rootless child b + j p^k is a constant (from
       the roots e outside the ball, where x - e keeps the unit class of
       b - e) plus leg(j - a_e) for each root e inside, a_e the residue of
@@ -306,14 +314,7 @@ def characteristic_points(
       order and the scan stops once all of them have been seen.  At m >= 1,
       only at p = 2, a ball that holds a root has at most one rootless
       child, so the stop skips nothing there.
-    * Each kept ball carries the roots it holds, and a split ball hands
-      each of them to the child of its residue mod p^(k+1).  The kept
-      children come in the order of the least root index each holds (0, e1,
-      e2), and the rootless ones in ascending residue.  Levels run
-      from r - m to D + m: past D every ball holds one root, and at
-      D + m + 1 all of them are dropped; no evaluation goes deeper than
-      D + 2m + 1.  Each level keeps at most three balls at every place.
-      An unramified place evaluates one rootless child per split ball.  At
+    * An unramified place evaluates one rootless child per split ball.  At
       ramified odd p the scan ends once every possible triple has shown
       up: by the Weil bound on sum_j leg(f(j)) that happens within p
       children for every p past a small bound, and in practice within a
@@ -357,8 +358,6 @@ def characteristic_points(
         f1 = _integral_residue(e1 * square, modulus)
         f2 = _integral_residue(e2 * square, modulus)
     roots = (0, f1, f2)
-    # a ball that holds roots[i] alone is dropped from level drop[i] on
-    drop = (r + m + 1, last, last)
     # the p^m sub-balls of a rootless child x at level k are x + o p^(k+1)
     # for o in digits, in the order a walk that splits every ball evaluates
     # them (the p^(k+m) digit fastest)
@@ -366,24 +365,19 @@ def characteristic_points(
     for j in range(m):
         digits = [o + i * p**j for o in digits for i in range(p)]
 
-    # each kept ball with the indices of the roots it holds
-    balls = [(0, (0, 1, 2))]
     for k in range(r - m, last):
         step = p**k
         child = p * step
-        children = []
-        for b, inside in balls:
-            by_residue = {}
-            for i in inside:
-                h = roots[i] % child
-                by_residue[h] = by_residue.get(h, ()) + (i,)
-            for h, kept in by_residue.items():
-                if len(kept) > 1 or k + 1 < drop[kept[0]]:
-                    children.append((h, kept))
-            patterns = 2 ** len(by_residue) if reads_units else 1
+        # the balls of level k, keyed by centre, each with the residues of its
+        # root-holding children; the ball of 0 alone is dropped past r + m
+        balls = {}
+        for f in roots if k <= r + m else roots[1:]:
+            balls.setdefault(f % step, set()).add(f % child)
+        for b, held in balls.items():
+            patterns = 2 ** len(held) if reads_units else 1
             seen = set()
             for x in range(b, b + child, step):
-                if x in by_residue:
+                if x in held:
                     continue
                 for o in digits:
                     y = x + o * child
@@ -395,9 +389,6 @@ def characteristic_points(
                 # at m >= 1 (p = 2) this was the only rootless child
                 if len(seen) == patterns:
                     break
-        balls = children
-    if balls:
-        raise ArithmeticError(f"{len(balls)} balls left unresolved at level {last}")
 
 
 def characteristic_subgroup(

@@ -31,6 +31,7 @@ __all__ = [
     "chi",
     "classify_extension",
     "conductor_n",
+    "norm_char_fn",
 ]
 
 

@@ -234,6 +234,10 @@ class TestGlobalChow:
             global_chow(-1, 0, 1, 2, sample_primes=2.5)
         with pytest.raises(TypeError, match="sample_primes"):
             global_chow(-1, 0, 1, 2, sample_primes="20")
+        with pytest.raises(TypeError, match="sample_primes"):
+            global_chow(-1, 0, 1, 2, sample_primes=True)
+        with pytest.raises(TypeError, match="sample_primes"):
+            global_chow(-1, 0, 1, 2, sample_primes=False)
 
     def test_negative_sample_primes_rejected(self):
         with pytest.raises(ValueError, match="sample_primes"):

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import chatelet.local
 import flat_sweep
@@ -16,6 +18,7 @@ from chatelet import (
     ContradictionError,
     DegenerateSurfaceError,
     ExtKind,
+    FactorizationError,
     NormalizedSurface,
     Subgroup3,
     TRIVIAL_SUBGROUP,
@@ -25,6 +28,7 @@ from chatelet import (
     classify_case,
     classify_extension,
     global_chow,
+    is_prime,
     local_chow,
     norm_char_fn,
     normalize_roots,
@@ -798,3 +802,64 @@ class TestRegressions:
             2: ("Prop1-ii", ((1, 0, 1),)),
             1000003: ("Prop2-i", ((0, 1, 1),)),
         }
+
+
+# the first primes past 10^6, 10^12 and 10^18
+LARGE_PRIMES = (1000003, 1000000000039, 1000000000000000003)
+small_units = st.integers(-30, 30).filter(bool)
+
+
+@st.composite
+def large_place_surfaces(draw):
+    """(d, roots, q): d = q u (ramified at q) or d = u (unramified or split
+    there) for a small unit u, and integer roots whose differences carry
+    q^i and q^j, i, j <= 3."""
+    q = draw(st.sampled_from(LARGE_PRIMES))
+    u = draw(small_units)
+    d = q * u if draw(st.booleans()) else u
+    c1 = draw(st.integers(-50, 50))
+    a, i, b, j = draw(small_units), draw(st.integers(0, 3)), draw(small_units), draw(st.integers(0, 3))
+    assume(a * q**i != b * q**j)
+    return d, (c1, c1 + a * q**i, c1 + b * q**j), q
+
+
+def _local_within_second(d, roots, q):
+    with wall_clock_guard(1):
+        return local_chow(d, *roots, q)
+
+
+class TestLargePlaces:
+    def test_large_primes_are_prime(self):
+        assert all(map(is_prime, LARGE_PRIMES))
+        for e, q in zip((6, 12, 18), LARGE_PRIMES):
+            assert not any(map(is_prime, range(10**e, q)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(large_place_surfaces(), st.integers(-(10**30), 10**30))
+    def test_local_chow_is_equivariant(self, surface, shift):
+        d, roots, q = surface
+        rep = _local_within_second(d, roots, q)
+        assert rep.predicted_order == rep.subgroup.order
+        for sigma in itertools.permutations(range(3)):
+            moved = _local_within_second(d, tuple(roots[k] for k in sigma), q)
+            assert moved.case_label == rep.case_label
+            assert set(moved.subgroup.elements()) == {
+                tuple(t[k] for k in sigma) for t in rep.subgroup.elements()
+            }
+        assert _local_within_second(d, tuple(c + shift for c in roots), q) == rep
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(LARGE_PRIMES),
+        st.sampled_from((1, -1)),
+        st.tuples(*[st.integers(0, 3)] * 4),
+        st.lists(st.integers(-50, 50), min_size=3, max_size=3, unique=True),
+    )
+    def test_global_chow_checks_the_large_place(self, q, sign, exponents, roots):
+        s = sign * math.prod(p**e for p, e in zip((2, 3, 5, 7), exponents))
+        with wall_clock_guard(5):
+            try:
+                rep = global_chow(q * s, *roots)
+            except FactorizationError:
+                return
+        assert q in rep.checked_places
