@@ -4,7 +4,7 @@ certifier for every factor."""
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -37,6 +37,8 @@ _MILLER_RABIN_WITNESSES = (
     (3215031751, (2, 3, 5, 7)),
     (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
+# A number sharing a factor with this product is prime only if it is a base.
+_WITNESS_PRODUCT = prod(_MILLER_RABIN_WITNESSES[-1][1])
 
 
 class FactorizationError(RuntimeError):
@@ -48,15 +50,15 @@ class FactorizationError(RuntimeError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the smallest proven witness set for n.
-    Past psi_13 the thirteen bases still prove a composite n composite; a
-    strong probable prime there raises FactorizationError, as no proven
-    witness set certifies it."""
+    """Deterministic Miller-Rabin with the smallest proven witness set for n,
+    after one gcd with the product of the thirteen prime bases, which settles
+    every n sharing a factor with them.  Past psi_13 the thirteen bases still
+    prove a composite n composite; a strong probable prime there raises
+    FactorizationError, as no proven witness set certifies it."""
     if n < 2:
         return False
-    for p in _MILLER_RABIN_WITNESSES[-1][1]:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _WITNESS_PRODUCT) > 1:
+        return n in _MILLER_RABIN_WITNESSES[-1][1]
     bases = next(
         (bases for limit, bases in _MILLER_RABIN_WITNESSES if n < limit),
         _MILLER_RABIN_WITNESSES[-1][1],
@@ -105,29 +107,36 @@ class RhoBudget:
 def factorize(n: int, budget: Optional[RhoBudget] = None) -> Dict[int, int]:
     """Prime factorization of |n| (n != 0), deterministic in n and budget.left.
 
-    Trial division by the primes below 1000 stops once p^2 exceeds what is
-    left, so small n cost a few divisions.  Each composite cofactor is split
-    by Brent's rho (`_rho_divisor`) and every factor is certified by
-    `is_prime`.  The rho work comes out of `budget`, which several calls may
-    share so that together they cost no more than one; by default it is
-    RhoBudget of what trial division leaves.  Raises FactorizationError when a
-    factor is a strong probable prime past the Miller-Rabin witness limit
-    psi_13 or when the budget runs out."""
+    One gcd with the product of the primes below 1000 yields the distinct
+    ones dividing n; only that gcd is trial-divided, so an n free of them
+    costs one gcd, and each prime found is divided out of n with its whole
+    power.  Each composite cofactor is split by Brent's rho (`_rho_divisor`)
+    and every factor is certified by `is_prime`.  The rho work comes out of
+    `budget`, which several calls may share so that together they cost no
+    more than one; by default it is RhoBudget of what trial division leaves.
+    Raises FactorizationError when a factor is a strong probable prime past
+    the Miller-Rabin witness limit psi_13 or when the budget runs out."""
     if n == 0:
         raise ValueError("cannot factor zero")
     n = abs(n)
     factors: Dict[int, int] = {}
-    for p in (2, 3):
+    # g is the product of the distinct trial primes dividing n
+    g = gcd(n, _TRIAL_PRODUCT)
+    small = []
+    for p in _TRIAL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            small.append(p)
+    if g > 1:
+        small.append(g)
+    for p in small:
+        e = 0
         while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
             n //= p
-    q = 5
-    while q < _TRIAL_BOUND and q * q <= n:
-        for p in (q, q + 2):
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
-        q += 6
+            e += 1
+        factors[p] = e
     if budget is None:
         budget = RhoBudget(n)
     stack = [n] if n > 1 else []
@@ -161,10 +170,10 @@ def _rho_divisor(m: int, budget: RhoBudget) -> int:
 
     Brent's cycle search (Brent 1980; Cohen, A Course in Computational
     Algebraic Number Theory, 8.5) on y -> y^2 + c mod m, with the differences
-    x - y multiplied together for _RHO_BATCH steps between gcds.  When the
-    gcd collapses to m, the batch is replayed one step at a time, and if that
-    gives m too, c moves on to the next integer.  Each evaluation of the map
-    is charged to budget before it runs."""
+    x - y multiplied together for _RHO_BATCH steps between gcds, two to a
+    reduction mod m.  When the gcd collapses to m, the batch is replayed one
+    step at a time, and if that gives m too, c moves on to the next integer.
+    Each evaluation of the map is charged to budget before it runs."""
     unit = 1 + m.bit_length() ** 2 // _RHO_WIDE_BITS_SQUARED
     c = 0
     while True:
@@ -184,9 +193,14 @@ def _rho_divisor(m: int, budget: RhoBudget) -> int:
                 if budget.left < steps * unit:
                     return 0
                 budget.left -= steps * unit
-                for _ in range(steps):
+                if steps % 2:
                     y = (y * y + c) % m
                     q = q * (x - y) % m
+                for _ in range(steps // 2):
+                    y = (y * y + c) % m
+                    t = x - y
+                    y = (y * y + c) % m
+                    q = q * t * (x - y) % m
                 g = gcd(q, m)
                 k += steps
             r *= 2
@@ -211,3 +225,8 @@ def primes_below(limit: int) -> List[int]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
         p += 1
     return [i for i in range(limit) if sieve[i]]
+
+
+# The primes trial division covers and their product, built once at import.
+_TRIAL_PRIMES = primes_below(_TRIAL_BOUND)
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)

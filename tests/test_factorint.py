@@ -5,6 +5,7 @@ import random
 import pytest
 
 from chatelet import FactorizationError, factorize, is_prime
+from chatelet.factorint import RhoBudget, _rho_divisor
 from guards import wall_clock_guard
 
 # psi_12: the least strong pseudoprime to the twelve prime bases 2, ..., 37
@@ -82,6 +83,16 @@ class TestFactorize:
             return sympy.nextprime(rng.randrange(lo, hi))
 
         cases = [1, -1, -360, 2**61 - 1]
+        # trial primes at the bound and beside the first primes past it, high
+        # powers of the smallest ones, and the a*P*Q shape of a root difference
+        cases += [
+            997**5 * 991,
+            991 * 997 * 1009 * 1013,
+            997,
+            2**64 * 3**40 * 5,
+            7 * 854683 * 861659,
+            -(2**5 * 997**2 * 1000003 * 1000033),
+        ]
         for _ in range(8):
             p = prime_near(10**5, 10**12)
             cases += [p * prime_near(10**5, 10**9), -p * prime_near(10**5, 10**6)]
@@ -124,9 +135,28 @@ class TestFactorize:
         for f in (p, q):
             assert is_prime(f)
         assert p * q < PSI_13
+        budget = RhoBudget(p * q)
         with wall_clock_guard(5):
             with pytest.raises(FactorizationError, match="rho"):
-                factorize(p * q)
+                factorize(p * q, budget)
+        assert budget.left == 2
+
+    @pytest.mark.parametrize(
+        "p,q,divisor,start,left",
+        [
+            (1000003, 1000033, 1000033, 8008, 6986),
+            (854683, 861659, 854683, 7416, 6394),
+            (167149, 267143, 167149, 3680, 2850),
+        ],
+    )
+    def test_rho_work_is_pinned(self, p, q, divisor, start, left):
+        # every evaluation is charged once and each gcd sees every difference
+        # of its batch: a charge more or fewer moves left, and the last case
+        # also catches a difference left out of the product
+        budget = RhoBudget(p * q)
+        assert budget.left == start
+        assert _rho_divisor(p * q, budget) == divisor
+        assert budget.left == left
 
     def test_wide_composite_refused_within_guard(self):
         # 3170 bits and a cofactor rho cannot split: an evaluation modulo it

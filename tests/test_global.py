@@ -442,6 +442,36 @@ class TestProcessCaches:
         assert global_chow(-1, 0, 1, 2, rng=random.Random(0)) == global_chow(-1, 0, 1, 2)
 
 
+class TestSquareScaling:
+    """d and d s^2 give the same surface over Q (z -> s z), so the same group.
+    The candidate places differ only at the odd primes of s, and each of those
+    that does not divide d joins them."""
+
+    ODD_PRIMES_OF_S = (3, 5, 7, 11, 13, 101, 997, 1009)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_rationals.filter(bool),
+        st.lists(small_rationals, min_size=3, max_size=3, unique=True),
+        st.sampled_from([3, 5, 7, 11, 13, 101, 997, 1009, 6, 35]),
+        st.sampled_from([1, 2, 3, 13]),
+    )
+    def test_group_is_unchanged(self, d, roots, num, den):
+        s = Fraction(num, den)
+        with wall_clock_guard(10):
+            plain = global_chow(d, *roots)
+            scaled = global_chow(d * s**2, *roots)
+        assert scaled.kernel_dim == plain.kernel_dim
+        assert scaled.place_orders == plain.place_orders
+        if not plain.checked_places:  # d is a rational square
+            assert scaled.checked_places == ()
+            return
+        of_s = {p for p in self.ODD_PRIMES_OF_S if (s.numerator * s.denominator) % p == 0}
+        of_d = {p for p in of_s if (d.numerator * d.denominator) % p == 0}
+        assert set(scaled.checked_places) - of_s == set(plain.checked_places) - of_s
+        assert of_s - of_d <= set(scaled.checked_places)
+
+
 class TestReciprocity:
     def test_minus_one_pair(self):
         rep = reciprocity_check(-1, -1)
