@@ -4,6 +4,7 @@ certifier for every factor."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Dict, List, Optional
 
@@ -49,12 +50,15 @@ class FactorizationError(RuntimeError):
         self.n = n
 
 
+@lru_cache(maxsize=1024, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the smallest proven witness set for n,
     after one gcd with the product of the thirteen prime bases, which settles
     every n sharing a factor with them.  Past psi_13 the thirteen bases still
     prove a composite n composite; a strong probable prime there raises
-    FactorizationError, as no proven witness set certifies it."""
+    FactorizationError, as no proven witness set certifies it.  The last
+    1024 answers are kept, one cache for factorize and the place checks; an
+    error is not, so only a refused n past psi_13 is tested each time again."""
     if n < 2:
         return False
     if gcd(n, _WITNESS_PRODUCT) > 1:

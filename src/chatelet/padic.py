@@ -47,19 +47,12 @@ def require_prime_place(place: Place) -> int:
     """The finite place as an int, or ValueError if it is not a prime that
     is_prime can certify.  The type is checked before the cached primality
     test, so an unhashable place raises ValueError too."""
-    if not (isinstance(place, int) and place >= 2 and _is_prime_place(place)):
-        raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
-    return place
-
-
-@lru_cache(maxsize=1024)
-def _is_prime_place(p: int) -> bool:
-    """is_prime(p) for an int p >= 2, once per process: a stream of calls
-    checks the same places again and again."""
     try:
-        return is_prime(p)
+        if isinstance(place, int) and place >= 2 and is_prime(place):
+            return place
     except FactorizationError:  # beyond the proven Miller-Rabin witness limit
-        return False
+        pass
+    raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
 
 
 def _as_rational(r: Rational) -> Rational:

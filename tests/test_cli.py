@@ -133,6 +133,14 @@ class TestLocalCommand:
                 main(["local", "--d", "-1", "--roots", "0,1,2", "--p", place])
             assert exc.value.code == EXIT_INVALID_INPUT
 
+    def test_uncertifiable_place_exits_via_argparse(self, capsys):
+        # a prime past psi_13 is refused each time: no refusal is cached
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["local", "--d", "-1", "--roots", "0,1,2", "--p", UNCERTIFIABLE_PRIME])
+            assert exc.value.code == EXIT_INVALID_INPUT
+            assert "place must be a prime" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -15,6 +15,8 @@ PSI_13 = 3317044064679887385961981
 # certifiable cofactors whose products with small primes lie past psi_13
 PRIME_NEAR_4E21 = 4000000000000000000013
 FIVE_PRIMES_NEAR_1E5 = 100003 * 100019 * 100043 * 100049 * 100057
+# a prime past psi_13: a strong probable prime that no witness set certifies
+UNCERTIFIABLE_PRIME = 10000000000000000000000013
 
 
 def _sieve(limit):
@@ -67,6 +69,18 @@ class TestIsPrime:
     def test_refuses_beyond_the_witness_limit(self):
         with pytest.raises(FactorizationError):
             is_prime(3317044064679887385961981)
+
+    def test_refusal_is_not_cached(self):
+        # the cache keeps answers only, so a refusal stays a refusal
+        for _ in range(2):
+            with pytest.raises(FactorizationError):
+                is_prime(UNCERTIFIABLE_PRIME)
+
+    def test_cache_keeps_the_type_check(self):
+        # 7.0 == 7 with the same hash: the cache must tell the types apart
+        assert is_prime(7)
+        with pytest.raises(TypeError):
+            is_prime(7.0)
 
     def test_witnesses_prove_composites_beyond_the_limit(self):
         for n in (1013 * PRIME_NEAR_4E21, FIVE_PRIMES_NEAR_1E5, PRIME_NEAR_4E21**2):
@@ -147,12 +161,14 @@ class TestFactorize:
             (1000003, 1000033, 1000033, 8008, 6986),
             (854683, 861659, 854683, 7416, 6394),
             (167149, 267143, 167149, 3680, 2850),
+            (3, 7, 3, 24, 22),
         ],
     )
     def test_rho_work_is_pinned(self, p, q, divisor, start, left):
         # every evaluation is charged once and each gcd sees every difference
-        # of its batch: a charge more or fewer moves left, and the last case
-        # also catches a difference left out of the product
+        # of its batch: a charge more or fewer moves left; 167149 * 267143
+        # also catches a difference left out of the product, and 3 * 7, split
+        # in the one odd batch (r = 1), a skipped single step of that batch
         budget = RhoBudget(p * q)
         assert budget.left == start
         assert _rho_divisor(p * q, budget) == divisor

@@ -36,6 +36,16 @@ UNCERTIFIABLE_PRIME = 10000000000000000000000013
 RHO_SEMIPRIME = 1000036000099
 
 
+def assert_proven_once(numbers):
+    """Since its cache was last emptied, is_prime has proven exactly the
+    distinct `numbers`, each once: one miss for each, and each is now a hit."""
+    is_prime = chatelet.factorint.is_prime
+    assert is_prime.cache_info().misses == len(set(numbers))
+    for n in numbers:
+        is_prime(n)
+    assert is_prime.cache_info().misses == len(set(numbers))
+
+
 class TestCandidatePlaces:
     def test_unit_d(self):
         assert candidate_places(-1, 0, 1, 2) == ["real", 2]
@@ -91,24 +101,26 @@ class TestCandidatePlaces:
         assert places == ["real", 2, 3, 5, 7, 29, P, Q]
         assert [n for n in args if n % P == 0] == [-6 * P * Q]
 
-    def test_one_primality_test_per_place(self, monkeypatch):
-        from chatelet import norms, padic
+    def test_one_primality_test_per_place(self):
+        from chatelet import norms
 
-        tested = []
-
-        def counted(n):
-            tested.append(n)
-            return padic_is_prime(n)
-
-        padic_is_prime = padic.is_prime
-        monkeypatch.setattr(padic, "is_prime", counted)
-        padic._is_prime_place.cache_clear()
+        chatelet.factorint.is_prime.cache_clear()
         norms.classify_extension.cache_clear()
         norms.norm_char_fn.cache_clear()
         rep = global_chow(-1, 0, 1, 2)
         finite = [p for p in rep.checked_places if p != "real"] + list(rep.sampled_primes)
-        assert sorted(tested) == sorted(finite)
-        assert len(tested) == 21
+        assert len(finite) == 21
+        assert_proven_once(finite)
+
+    def test_factored_primes_are_not_proven_again(self):
+        # factorize proves P and Q while it splits P*Q, and their place
+        # checks take those proofs from the one primality cache
+        P, Q = 1000003, 1000033
+        clear_program_caches()
+        rep = global_chow(-1, 0, P * Q, 2 * P * Q, sample_primes=0)
+        assert rep.checked_places == ("real", 2, P, Q)
+        assert rep.kernel_dim == 3
+        assert_proven_once([2, P, Q, P * Q])
 
     def test_one_rho_budget_per_call(self):
         # six semiprimes of two primes near 1.8e12, each factorable alone;
@@ -414,25 +426,17 @@ class TestProcessCaches:
             warm = [_run(call) for call in sequence]
         assert warm == cold
 
-    def test_second_identical_call_works_nothing_out_again(self, monkeypatch):
+    def test_second_identical_call_works_nothing_out_again(self):
         norms = chatelet.norms
-        caches = (norms.classify_extension, norms.norm_char_fn, chatelet.globalchow._default_sample)
-        tested = []
-
-        def counted(n):
-            tested.append(n)
-            return padic_is_prime(n)
-
-        padic_is_prime = chatelet.padic.is_prime
-        monkeypatch.setattr(chatelet.padic, "is_prime", counted)
+        is_prime = chatelet.factorint.is_prime
+        caches = (is_prime, norms.classify_extension, norms.norm_char_fn,
+                  chatelet.globalchow._default_sample)
         clear_program_caches()
         args = (Fraction(-7, 3), 0, Fraction(1, 2), 5)
         first = global_chow(*args)
-        assert tested
+        assert is_prime.cache_info().misses
         misses = [cache.cache_info().misses for cache in caches]
-        tested.clear()
         assert global_chow(*args) == first
-        assert tested == []
         assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_caller_rng_is_not_cached(self):

@@ -33,6 +33,8 @@ nonzero_rationals = st.fractions(
     min_value=-400, max_value=400, max_denominator=360
 ).filter(lambda r: r != 0)
 places = st.sampled_from([REAL_PLACE, 2, 3, 5, 7, 11, 13])
+# a prime past psi_13, the Miller-Rabin witness limit: it cannot be certified
+UNCERTIFIABLE_PRIME = 10000000000000000000000013
 
 
 def square_class_units(p):
@@ -252,24 +254,31 @@ class TestHilbertSymbolFrozen:
         with pytest.raises(ValueError, match="place must be a prime or 'real'"):
             is_local_square(3, place)
 
-    def test_primality_tested_once_per_place(self, monkeypatch):
-        from chatelet import padic
+    def test_primality_tested_once_per_place(self):
+        from chatelet.factorint import is_prime
 
-        tested = []
-
-        def counted(n):
-            tested.append(n)
-            return padic_is_prime(n)
-
-        padic_is_prime = padic.is_prime
-        monkeypatch.setattr(padic, "is_prime", counted)
-        padic._is_prime_place.cache_clear()
+        is_prime.cache_clear()
+        misses = []
         for _ in range(3):
             assert require_prime_place(13) == 13
+            misses.append(is_prime.cache_info().misses)
             assert hilbert_symbol(2, 3, 13) == 0
+            misses.append(is_prime.cache_info().misses)
             with pytest.raises(ValueError):
                 require_prime_place(15)
-        assert tested == [13, 15]
+            misses.append(is_prime.cache_info().misses)
+        # 13 is proven by the first check, 15 by the first refusal, none again
+        assert misses == [1, 1, 2] + [2] * 6
+
+    def test_uncertifiable_place_refused_every_time(self):
+        # is_prime caches no error, so a refusal never turns into an answer
+        for _ in range(2):
+            with pytest.raises(ValueError, match="place must be a prime"):
+                require_prime_place(UNCERTIFIABLE_PRIME)
+            with pytest.raises(ValueError, match="place must be a prime"):
+                local_chow(-1, 0, 1, 2, UNCERTIFIABLE_PRIME)
+            with pytest.raises(ValueError, match="place must be a prime"):
+                hilbert_symbol(2, 3, UNCERTIFIABLE_PRIME)
 
 
 class TestHilbertSymbolProperties:
