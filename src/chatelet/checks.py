@@ -118,12 +118,10 @@ class _Tally:
         )
 
 
-def random_rational(
-    rng: random.Random, max_exp: int = 2, primes: Sequence[int] = _SMOOTH_PRIMES
-) -> Fraction:
+def random_rational(rng: random.Random, max_exp: int = 2) -> Fraction:
     """Nonzero signed rational with smooth support and bounded exponents."""
     value = Fraction(rng.choice((1, -1)))
-    for q in primes:
+    for q in _SMOOTH_PRIMES:
         if rng.random() < 0.5:
             value *= Fraction(q) ** rng.randint(-max_exp, max_exp)
     return value

@@ -112,14 +112,10 @@ def _positive_int(text: str) -> int:
 # JSON shapes (insertion order is the output order)
 
 
-def _place_json(place: Place):
-    return place if place == REAL_PLACE else int(place)
-
-
 def _local_json(report: LocalReport) -> Dict:
     ext = report.ext_class
     out: Dict = {
-        "place": _place_json(report.place),
+        "place": report.place,
         "extension": {
             "kind": ext.kind.name.lower(),
             "conductor_n": ext.conductor_n,
@@ -147,7 +143,7 @@ def _global_json(report: GlobalReport) -> Dict:
         "kernel_dim": report.kernel_dim,
         "group": report.group,
         "places": [_local_json(rep) for rep in report.local_reports],
-        "checked_places": [_place_json(v) for v in report.checked_places],
+        "checked_places": list(report.checked_places),
         "sampled_primes": list(report.sampled_primes),
     }
 
@@ -242,7 +238,7 @@ def _run_local(args) -> Tuple[Dict, List[str], bool]:
         "inputs": {
             "d": str(args.d),
             "roots": [str(c) for c in args.roots],
-            "place": _place_json(args.p),
+            "place": args.p,
         },
         "result": _local_json(report),
     }
@@ -269,7 +265,7 @@ def _run_symbol(args) -> Tuple[Dict, List[str], bool]:
         "inputs": {
             "a": str(args.a),
             "b": str(args.b),
-            "place": _place_json(args.p),
+            "place": args.p,
         },
         "result": value,
     }

@@ -16,11 +16,11 @@ from .local import (
     Subgroup3,
     TRIVIAL_SUBGROUP,
     _distinct_roots,
+    _in_caller_coordinates,
     _integral_d,
     _integral_roots,
     _repro_command,
     _triple_bits,
-    _unscaled,
     local_chow,
 )
 from .padic import (
@@ -153,7 +153,8 @@ def global_chow(
     runs on one integer surface, made once per call as local_chow would make
     it: d0 = d * den(d)^2 and the roots L^2 c_i, L the lcm of the root
     denominators.  The nontrivial reports kept have `normalized` mapped back
-    to the caller's coordinates.  A ContradictionError raised inside
+    to the caller's coordinates by _in_caller_coordinates, as local_chow
+    maps its own.  A ContradictionError raised inside
     local_chow prints that integer surface in its reproduction line, which
     recomputes the same local group.
 
@@ -173,19 +174,7 @@ def global_chow(
     d0 = _integral_d(d)
     (n1, n2, n3), scale = _integral_roots(roots)
     reports = [local_chow(d0, n1, n2, n3, place) for place in places]
-    nontrivial = [rep for rep in reports if rep.subgroup.basis]
-    if scale != 1:
-        nontrivial = [
-            LocalReport(
-                rep.place,
-                rep.ext_class,
-                _unscaled(rep.normalized, scale, rep.place),
-                rep.case_label,
-                rep.predicted_order,
-                rep.subgroup,
-            )
-            for rep in nontrivial
-        ]
+    nontrivial = [_in_caller_coordinates(rep, scale) for rep in reports if rep.subgroup.basis]
     kernel = kernel_dimension([rep.subgroup for rep in nontrivial])
 
     in_pool = tuple([p for p in places[2:] if p < _SAMPLE_POOL_LIMIT])  # odd candidates

@@ -8,7 +8,7 @@ normalized root data alone; the order fixes the subgroup, which must match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -351,12 +351,9 @@ def characteristic_points(
     # Integers congruent to the scaled roots far beyond every sub-ball radius
     # stand in for them: closeness and the characters see the same values.
     modulus = p ** (last + 2 * m + 2)
-    if s == 0 and type(e1) is int and type(e2) is int:
-        f1, f2 = e1 % modulus, e2 % modulus
-    else:
-        square = p ** (2 * s)
-        f1 = _integral_residue(e1 * square, modulus)
-        f2 = _integral_residue(e2 * square, modulus)
+    square = p ** (2 * s)
+    f1 = _integral_residue(e1 * square, modulus)
+    f2 = _integral_residue(e2 * square, modulus)
     roots = (0, f1, f2)
     # the p^m sub-balls of a rootless child x at level k are x + o p^(k+1)
     # for o in digits, in the order a walk that splits every ball evaluates
@@ -508,15 +505,20 @@ def _integral_roots(roots: Tuple[Rational, ...]) -> Tuple[Tuple[int, ...], int]:
     return (n1 * (square // m1), n2 * (square // m2), n3 * (square // m3)), scale
 
 
-def _unscaled(surface: NormalizedSurface, scale: int, place: Place) -> NormalizedSurface:
-    """The normalized surface of the roots c_i, from that of the integer
-    roots scale^2 c_i for a scale > 1: e -> e / scale^2 as a Fraction, r and
-    D less 2 v(scale).  At scale 1 the coordinates agree, and callers keep
-    the integer surface itself."""
+def _in_caller_coordinates(report: LocalReport, scale: int) -> LocalReport:
+    """The report of the roots c_i, from that of the integer roots scale^2 c_i:
+    only `normalized` depends on the coordinates, and it is mapped back, e ->
+    e / scale^2 as a Fraction and r and D less 2 v(scale).  At scale 1, or
+    where there is no normalized surface, the report is returned as it is."""
+    surface = report.normalized
+    if scale == 1 or surface is None:
+        return report
+    place = report.place
     square = scale * scale
     shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]
     e1, e2 = Fraction(surface.e1, square), Fraction(surface.e2, square)
-    return NormalizedSurface(e1, e2, surface.r - shift, surface.big_d - shift, surface.perm)
+    normalized = NormalizedSurface(e1, e2, surface.r - shift, surface.big_d - shift, surface.perm)
+    return replace(report, normalized=normalized)
 
 
 def _repro_command(d: Rational, roots: Iterable[Rational], place: Optional[Place] = None) -> str:
@@ -537,10 +539,10 @@ def local_chow(
     integer normal form of the input: d0 = d * den(d)^2 and the roots L^2 c_i,
     L the lcm of the root denominators.  That surface is isomorphic over Q to
     the caller's, so its local group, case and generators are the caller's;
-    only `normalized` is mapped back, e -> e / L^2 (a Fraction) and r and D
-    less 2 v(L).  At L = 1 the coordinates agree and `normalized` is the
-    integer surface itself, ints in e1 and e2.  On integer input, as
-    global_chow passes it, the conversion changes nothing.
+    only `normalized` is mapped back (_in_caller_coordinates), e -> e / L^2
+    (a Fraction) and r and D less 2 v(L).  At L = 1 the coordinates agree
+    and `normalized` is the integer surface itself, ints in e1 and e2.  On
+    integer input, as global_chow passes it, the conversion changes nothing.
 
     The routes must agree on the subgroup, not only on its order: the
     enumerated one must be the subgroup that the predicted order fixes (see
@@ -569,11 +571,5 @@ def local_chow(
             predicted_subgroup=predicted_sub,
             enumerated_subgroup=found,
         )
-    return LocalReport(
-        place,
-        ext,
-        surface if scale == 1 else _unscaled(surface, scale, place),
-        label,
-        predicted,
-        _to_global(local_sub, surface.perm),
-    )
+    report = LocalReport(place, ext, surface, label, predicted, _to_global(local_sub, surface.perm))
+    return _in_caller_coordinates(report, scale)

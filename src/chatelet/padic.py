@@ -243,10 +243,15 @@ def hilbert_oracle(a: Rational, b: Rational, p: int, k: int) -> int:
     """Decide the Hilbert symbol by exhaustive search for z^2 = a x^2 + b y^2 mod p^k.
 
     Independent of the closed formulas in hilbert_symbol: primitive solution
-    triples are enumerated directly (in the three classes with one coordinate
-    unit-scaled to 1) and accepted only when the standard Hensel bound
-    k >= 2*delta + 1 certifies lifting to the completion.  Raises
-    PrecisionError when k is too small to decide, or too large to enumerate.
+    triples are enumerated directly, in the classes z = 1 and x = 1, and
+    accepted only when the standard Hensel bound k >= 2*delta + 1 certifies
+    lifting to the completion.  The class y = 1 adds nothing: in a solution
+    (z, x, 1) mod p^k, z or x is a unit, as p^2 does not divide B (v(B) <= 1
+    and k >= min_k >= 2), and scaling by its inverse reaches the class z = 1
+    or x = 1 with the same coordinate valuations (the least square-root
+    valuation in _scaled_square_table is the same for t and t u^2, u a unit),
+    so the same Hensel test accepts it there.  Raises PrecisionError when k
+    is too small to decide, or too large to enumerate.
     """
     p = require_prime_place(p)
     A, va = _square_class_rep(a, p, k)
@@ -290,15 +295,6 @@ def hilbert_oracle(a: Rational, b: Rational, p: int, k: int) -> int:
             continue
         vy = _int_valuation(y, p)
         if accepted(((0, vz), (va, 0), (vb, vy))):
-            return 0
-    # class y = 1: z^2 == A x^2 + B
-    for x in range(mod):
-        target = (A * x * x + B) % mod
-        vz = squares.get(target)
-        if vz is None and target != 0:
-            continue
-        vx = _int_valuation(x, p)
-        if accepted(((0, vz), (va, vx), (vb, 0))):
             return 0
     return 1
 

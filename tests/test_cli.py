@@ -113,6 +113,14 @@ class TestLocalCommand:
         out = capsys.readouterr().out
         assert "case: Real-d-negative" in out
 
+    def test_trivial_group(self, capsys):
+        # d = 2 is a square in Q_7, so the local group is trivial
+        args = ["local", "--d", "2", "--roots", "0,1,2", "--p", "7"]
+        assert main(args) == EXIT_OK
+        assert "generators: none (trivial group)" in capsys.readouterr().out.splitlines()
+        assert main(args + ["--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["result"]["generators"] == []
+
     def test_repeated_roots_exit(self, capsys):
         code = main(["local", "--d", "-1", "--roots", "0,1,1", "--p", "2"])
         assert code == EXIT_INVALID_INPUT
@@ -292,6 +300,11 @@ class TestCheckCommand:
         first = capsys.readouterr().out
         main(self.ARGS)
         assert capsys.readouterr().out == first
+
+    def test_zero_fuzz_count_exits_via_argparse(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--fuzz-count", "0"])
+        assert exc.value.code == EXIT_INVALID_INPUT
 
     def test_failing_report_exits(self, monkeypatch, capsys):
         failing = CheckReport(

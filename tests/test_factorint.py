@@ -5,7 +5,7 @@ import random
 import pytest
 
 from chatelet import FactorizationError, factorize, is_prime
-from chatelet.factorint import RhoBudget, _rho_divisor
+from chatelet.factorint import RhoBudget, _rho_divisor, primes_below
 from guards import wall_clock_guard
 
 # psi_12: the least strong pseudoprime to the twelve prime bases 2, ..., 37
@@ -173,6 +173,23 @@ class TestFactorize:
         assert budget.left == start
         assert _rho_divisor(p * q, budget) == divisor
         assert budget.left == left
+
+    def test_batch_refusal_charges_nothing(self):
+        # the rounds up to r = 64 cost 254 and the steps of r = 128 another
+        # 128, which leaves 63 of 445, short of that round's first batch of
+        # 64: the batch check refuses and charges nothing.  From 446 the
+        # first batch runs and the second is refused at 0, where a refusal
+        # that charged what is left would read the same.
+        n = 1000003 * 1000033
+        budget = RhoBudget(n)
+        budget.left = 445
+        assert _rho_divisor(n, budget) == 0
+        assert budget.left == 63
+
+    def test_zero_and_empty_ranges(self):
+        with pytest.raises(ValueError, match="zero"):
+            factorize(0)
+        assert primes_below(2) == []
 
     def test_wide_composite_refused_within_guard(self):
         # 3170 bits and a cofactor rho cannot split: an evaluation modulo it

@@ -307,6 +307,11 @@ class TestClassifyCase:
         with pytest.raises(ValueError, match="split"):
             classify_case(9, surf, "real")
 
+    def test_split_finite_place_refused(self):
+        # 2 = 3^2 mod 7 is a square in Q_7: no case to classify
+        with pytest.raises(ValueError, match="local square"):
+            classify_case(2, normalize_roots(0, 1, 2, 7), 7)
+
 
 class TestLocalChow:
     def test_dyadic_report_frozen(self):

@@ -151,6 +151,10 @@ class TestUnitResidue:
         u = unit_residue(Fraction(1, 3), 5, 2)
         assert (3 * u) % 25 == 1
 
+    def test_precision_below_one_rejected(self):
+        with pytest.raises(ValueError, match="precision"):
+            unit_residue(3, 5, 0)
+
 
 class TestLegendre:
     def test_values(self):
@@ -160,6 +164,11 @@ class TestLegendre:
         assert legendre(2, 5) == 1
         assert legendre(2, 3) == 1
         assert legendre(-1, 7) == 1
+
+    @pytest.mark.parametrize("a,p,match", [(3, 4, "odd prime"), (6, 3, "divisible")])
+    def test_even_modulus_and_multiple_of_p_rejected(self, a, p, match):
+        with pytest.raises(ValueError, match=match):
+            legendre(a, p)
 
     def test_matches_square_enumeration(self):
         for p in (3, 5, 7, 11, 13):
