@@ -18,12 +18,12 @@ from .padic import (
     Rational,
     _as_rational,
     _nonzero,
+    _square_class,
     _valuation_and_unit,
+    hilbert_symbol,
+    legendre,
     require_prime_place,
 )
-# The unchecked body under the public name, which the perfbench spans patch:
-# norm_char_fn checks its place once, through the cached classify_extension.
-from .padic import _hilbert_symbol as hilbert_symbol
 
 __all__ = [
     "ExtKind",
@@ -86,21 +86,16 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     A finite place is checked here, before d, by require_prime_place, which
     tests the primality of each place once per process.  The
     classes returned are module constants shared by every call, not built
-    per call.
-
-    d is read through the int t = num(d) den(d), in its square class: v_p(t)
-    has the parity of v_p(d), and the unit of t is the unit of d times the
-    square of the unit of den(d), so it has the same Legendre symbol at odd p
-    and the same residue mod 8 at p = 2, where every odd square is 1."""
+    per call.  d is read through _square_class."""
     p = place if place == REAL_PLACE else require_prime_place(place)
     d = _nonzero(d, "d must be nonzero")
     if p == REAL_PLACE:
         return _SPLIT if d > 0 else _RAMIFIED  # conductor data unused here
-    v, u = _valuation_and_unit(d.numerator * d.denominator, p)  # d checked above
+    v, u = _square_class(d, p)
     if p != 2:
         if v % 2:
             return _RAMIFIED
-        return _SPLIT if pow(u, (p - 1) // 2, p) == 1 else _UNRAMIFIED
+        return _SPLIT if legendre(u, p) == 0 else _UNRAMIFIED
     if v % 2 == 0 and u % 8 == 1:
         return _SPLIT
     if v % 2 == 0 and u % 8 == 5:
@@ -122,9 +117,9 @@ def norm_char_fn(d: Rational, place: Place):
     then is the unit class read, by Euler's criterion, so a cached evaluator
     holds no table of residues.  The valuation coefficient at odd p is
     c = (d, p)_p = v eps(p) + leg(u) for d = p^v u, eps(p) = (p - 1) / 2 mod 2
-    (Serre, A Course in Arithmetic, ch. III, Thm. 1), read from the int
-    num(d) den(d) of the square class of d as classify_extension reads it.
-    The place is checked once, by the cached classify_extension."""
+    (Serre, A Course in Arithmetic, ch. III, Thm. 1), with (v, u) read
+    through _square_class as classify_extension reads it.  The place is
+    checked once, by the cached classify_extension."""
     d = _nonzero(d, "d must be nonzero")
     ramified = classify_extension(d, place).kind is ExtKind.RAMIFIED
     if place == REAL_PLACE:
@@ -146,9 +141,11 @@ def norm_char_fn(d: Rational, place: Place):
 
         return ev_dyadic
     half = (p - 1) // 2
-    v, u = _valuation_and_unit(d.numerator * d.denominator, p)  # d checked above
-    c = (v * half + (pow(u, half, p) != 1)) % 2
+    v, u = _square_class(d, p)
+    c = (v * half + legendre(u, p)) % 2
 
+    # Euler's criterion stays inline here, not through legendre: ev_odd runs
+    # on every enumerated point, where legendre's checks would run each time.
     def ev_odd(x) -> int:
         t = x if type(x) is int and x else _square_class_int(x)
         if t % p:  # v = 0, the common case, without a valuation call

@@ -103,6 +103,17 @@ def _valuation_and_unit(n: int, p: int) -> Tuple[int, int]:
     return v, n
 
 
+def _square_class(r: Rational, p: int) -> Tuple[int, int]:
+    """(v, u) = _valuation_and_unit(t, p) for the int t = num(r) den(r), a
+    nonzero int or Fraction r and an int p >= 2 the caller has checked.
+
+    t is in the square class of r, as t = r den(r)^2: v has the parity of
+    v_p(r), and u is the unit of r times the square of the unit of den(r),
+    so it has the same Legendre symbol at odd p and the same residue mod 8
+    at p = 2, where every odd square is 1."""
+    return _valuation_and_unit(r.numerator * r.denominator, p)
+
+
 def valuation(r: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational r."""
     _require_base(p)
@@ -131,7 +142,7 @@ def unit_residue(r: Rational, p: int, precision: int) -> int:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol of a mod p in F2 form: 0 for a square, 1 for a non-square."""
-    if p == 2 or p % 2 == 0:
+    if p % 2 == 0:
         raise ValueError("legendre needs an odd prime")
     if a % p == 0:
         raise ValueError("legendre is undefined for a divisible by p")
@@ -144,12 +155,8 @@ def is_local_square(r: Rational, place: Place) -> bool:
     if place == REAL_PLACE:
         return r > 0
     p = require_prime_place(place)
-    v = valuation(r, p)
-    if v % 2 != 0:
-        return False
-    if p == 2:
-        return unit_residue(r, 2, 3) == 1
-    return legendre(unit_residue(r, p, 1), p) == 0
+    v, u = _square_class(r, p)
+    return v % 2 == 0 and (u % 8 == 1 if p == 2 else legendre(u, p) == 0)
 
 
 def is_rational_square(r: Rational) -> bool:
@@ -179,24 +186,13 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
     """
     a = _nonzero(a, "hilbert symbol needs nonzero arguments")
     b = _nonzero(b, "hilbert symbol needs nonzero arguments")
-    if place != REAL_PLACE:
-        require_prime_place(place)
-    return _hilbert_symbol(a, b, place)
-
-
-def _hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
-    """hilbert_symbol for nonzero a and b at a place the caller has checked."""
     if place == REAL_PLACE:
         return 1 if a < 0 and b < 0 else 0
-    p = place
-    alpha = valuation(a, p)
-    beta = valuation(b, p)
+    p = require_prime_place(place)
+    alpha, u = _square_class(a, p)
+    beta, w = _square_class(b, p)
     if p == 2:
-        u = unit_residue(a, 2, 3)
-        w = unit_residue(b, 2, 3)
         return (_eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)) % 2
-    u = unit_residue(a, p, 1)
-    w = unit_residue(b, p, 1)
     eps_p = (p - 1) // 2 % 2
     return (alpha * beta * eps_p + beta * legendre(u, p) + alpha * legendre(w, p)) % 2
 
@@ -212,13 +208,11 @@ def suggested_oracle_precision(a: Rational, b: Rational, p: int) -> int:
     return 2 * (va + vb) + (6 if p == 2 else 3)
 
 
-def _square_class_rep(r: Rational, p: int, k: int) -> Tuple[int, int]:
-    """Integer representative of the square class of r: p^(v mod 2) * unit, and that
-    reduced valuation.  Exact up to a 1 + p^(k-1) unit, which is a square at the
-    precisions the oracle enforces."""
-    v = valuation(r, p) % 2
-    u = unit_residue(r, p, max(k - v, 1))
-    return p**v * u, v
+def _square_class_rep(r: Rational, v: int, p: int, k: int) -> int:
+    """Integer representative of the square class of r: p^v * unit, for
+    v = v_p(r) mod 2.  Exact up to a 1 + p^(k-1) unit, which is a square at
+    the precisions the oracle enforces."""
+    return p**v * unit_residue(r, p, max(k - v, 1))
 
 
 def _int_valuation(x: int, p: int):
@@ -254,8 +248,8 @@ def hilbert_oracle(a: Rational, b: Rational, p: int, k: int) -> int:
     is too small to decide, or too large to enumerate.
     """
     p = require_prime_place(p)
-    A, va = _square_class_rep(a, p, k)
-    B, vb = _square_class_rep(b, p, k)
+    va = valuation(a, p) % 2
+    vb = valuation(b, p) % 2
     # smallest usable precision: p^k must exceed 8 * p^(2 * max valuation)
     bound = 8 * p ** (2 * max(va, vb))
     min_k = 1
@@ -265,9 +259,12 @@ def hilbert_oracle(a: Rational, b: Rational, p: int, k: int) -> int:
         raise PrecisionError(
             f"hilbert_oracle needs k >= {min_k} for these arguments at p = {p}, got {k}"
         )
-    mod = p**k
-    if mod > _ORACLE_MODULUS_CAP:
+    # 2^k > cap from k = cap.bit_length() on, so no larger p^k is formed
+    if k >= _ORACLE_MODULUS_CAP.bit_length() or p**k > _ORACLE_MODULUS_CAP:
         raise PrecisionError(f"search modulus {p}^{k} exceeds the exhaustive budget")
+    mod = p**k
+    A = _square_class_rep(a, va, p, k)
+    B = _square_class_rep(b, vb, p, k)
 
     v2 = 1 if p == 2 else 0
     squares = _scaled_square_table(1, p, k)

@@ -371,6 +371,16 @@ class TestOracle:
         with pytest.raises(PrecisionError):
             hilbert_oracle(1, 2, 1999, 3)
 
+    def test_huge_precision_refused_before_any_power(self):
+        # refused from k alone: a unit residue mod 5^(3 * 10^6) takes seconds
+        with wall_clock_guard(1), pytest.raises(PrecisionError, match="exceeds"):
+            hilbert_oracle(Fraction(2, 7), 3, 5, 3 * 10**6)
+
+    def test_low_precision_refused_first(self):
+        # 1999^2 is past the cap too, but too small a k is named first
+        with pytest.raises(PrecisionError, match="needs k >= 3"):
+            hilbert_oracle(1999, 1, 1999, 2)
+
     def test_suggested_precision(self):
         assert suggested_oracle_precision(5, 2, 5) == 5
         assert suggested_oracle_precision(1, 7, 5) == 3
@@ -379,7 +389,8 @@ class TestOracle:
 
     def test_agrees_with_formula_on_grid(self):
         # deterministic miniature corpus; the big seeded one lives in checks
-        values = (1, -1, 2, -2, 3, 5, -5, Fraction(1, 2), Fraction(-3, 4))
+        values = (1, -1, 2, -2, 3, 5, -5, Fraction(1, 2), Fraction(-3, 4),
+                  Fraction(5, 9), Fraction(-7, 12), Fraction(3, 50))
         for p in (2, 3, 5):
             for a in values:
                 for b in values:
