@@ -295,24 +295,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    local = sub.add_parser(
-        "local", parents=[common], help="class group at one place"
-    )
-    local.add_argument("--d", type=parse_rational, required=True, help="nonzero rational d")
-    local.add_argument(
+    surface = argparse.ArgumentParser(add_help=False, parents=[common])
+    surface.add_argument("--d", type=parse_rational, required=True, help="nonzero rational d")
+    surface.add_argument(
         "--roots", type=parse_roots, required=True, help="three roots, e.g. 0,1,-3/20"
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    local = sub.add_parser("local", parents=[surface], help="class group at one place")
     local.add_argument(
         "--p", type=parse_place, required=True, help="a prime number or 'real'"
     )
 
-    glob = sub.add_parser("global", parents=[common], help="class group over Q")
-    glob.add_argument("--d", type=parse_rational, required=True, help="nonzero rational d")
-    glob.add_argument(
-        "--roots", type=parse_roots, required=True, help="three roots, e.g. 0,1,-3/20"
-    )
+    sub.add_parser("global", parents=[surface], help="class group over Q")
 
     symbol = sub.add_parser(
         "symbol", parents=[common], help="Hilbert symbol (a, b) at a place, as 0 or 1"

@@ -42,18 +42,14 @@ __all__ = [
 ]
 
 _SAMPLE_POOL_LIMIT = 2_000
-
-
-@lru_cache(maxsize=None)
-def _sample_pool() -> Tuple[int, ...]:
-    """Odd primes below the pool limit, sieved once on first use."""
-    return tuple(primes_below(_SAMPLE_POOL_LIMIT)[1:])
+# The odd primes below the pool limit, sieved once at import.
+_SAMPLE_POOL = tuple(primes_below(_SAMPLE_POOL_LIMIT)[1:])
 
 
 def _draw(rng: random.Random, excluded: Iterable[int], size: int) -> Tuple[int, ...]:
     """size primes of the pool, none of them excluded, drawn with rng and
     sorted (all of the rest if fewer are left)."""
-    pool = list(filterfalse(set(excluded).__contains__, _sample_pool()))
+    pool = list(filterfalse(set(excluded).__contains__, _SAMPLE_POOL))
     return tuple(sorted(rng.sample(pool, min(size, len(pool)))))
 
 
@@ -65,12 +61,13 @@ def _default_sample(excluded: Tuple[int, ...], size: int) -> Tuple[int, ...]:
     return _draw(random.Random(0), excluded, size)
 
 
-def _odd_prime_support(values: Iterable[Rational]) -> set:
-    """Odd primes dividing a numerator or denominator of the values.  Each is
-    first divided by the primes already found, so a prime shared by several
-    values (P and Q in every root difference s - (s + aPQ)) is factored once.
-    All the factoring draws on one rho budget, that of the largest value, so
-    a call costs at most what factoring its largest value may cost."""
+def _places_of(values: Iterable[Rational]) -> List[Place]:
+    """The real place, 2 and the odd primes dividing a numerator or
+    denominator of the values, ascending.  Each part is first divided by the
+    primes already found, so a prime shared by several values (P and Q in
+    every root difference s - (s + aPQ)) is factored once.  All the
+    factoring draws on one rho budget, that of the largest value, so a call
+    costs at most what factoring its largest value may cost."""
     parts = [n for value in values for n in value.as_integer_ratio()]
     budget = RhoBudget(max(map(abs, parts)))
     primes: set = set()
@@ -81,7 +78,7 @@ def _odd_prime_support(values: Iterable[Rational]) -> set:
         if n not in (1, -1):
             primes.update(factorize(n, budget))
     primes.discard(2)
-    return primes
+    return [REAL_PLACE, 2, *sorted(primes)]
 
 
 def candidate_places(d: Rational, c1: Rational, c2: Rational, c3: Rational) -> List[Place]:
@@ -94,12 +91,11 @@ def candidate_places(d: Rational, c1: Rational, c2: Rational, c3: Rational) -> L
         return []
     diffs = [roots[0] - roots[1], roots[0] - roots[2], roots[1] - roots[2]]
     try:
-        odd = _odd_prime_support([d, *diffs])
+        return _places_of([d, *diffs])
     except FactorizationError as exc:
         raise FactorizationError(
             f"{exc}; reproduce with\n" + _repro_command(d, (c1, c2, c3)), exc.n
         ) from exc
-    return [REAL_PLACE, 2, *sorted(odd)]
 
 
 def kernel_dimension(subgroups: Iterable[Subgroup3]) -> int:
@@ -212,6 +208,5 @@ def reciprocity_check(a: Rational, b: Rational) -> ReciprocityReport:
     sum must vanish."""
     a = _nonzero(a, "reciprocity needs nonzero arguments")
     b = _nonzero(b, "reciprocity needs nonzero arguments")
-    places = [REAL_PLACE, 2, *sorted(_odd_prime_support([a, b]))]
-    symbols = {place: hilbert_symbol(a, b, place) for place in places}
+    symbols = {place: hilbert_symbol(a, b, place) for place in _places_of([a, b])}
     return ReciprocityReport(symbols, sum(symbols.values()) % 2)

@@ -17,6 +17,7 @@ from .gf2 import member, reduce_rows
 from .norms import (
     ExtKind,
     QuadExtClass,
+    _nonsplit_class,
     chi,
     classify_extension,
     norm_char_fn,
@@ -51,7 +52,7 @@ Triple = Tuple[int, int, int]
 # The kinds as module constants: before Python 3.12 the enum metaclass defines
 # __getattr__, which sends every ExtKind.X lookup down the slow attribute path
 # (about 0.15 us, ten times what a global costs), and a place reads the
-# kind six times.
+# kind three times.
 _SPLIT_KIND = ExtKind.SPLIT
 _UNRAMIFIED_KIND = ExtKind.UNRAMIFIED
 _RAMIFIED_KIND = ExtKind.RAMIFIED
@@ -253,8 +254,7 @@ def special_fiber_images(
     normalized surface (local slot coordinates), from m = chi(-1), a = chi(e1),
     b = chi(e2) and g = chi(e1 - e2) as chi is additive: (0, 0, 0),
     (a + b, m + a, m + b), (a, a + g, g) and (b, m + g, m + b + g) over F2."""
-    if classify_extension(d, place).kind is _SPLIT_KIND:
-        raise ValueError("d is a local square; the character is trivial here")
+    _nonsplit_class(d, place)
     c = norm_char_fn(d, place)
     m, a, b, g = c(-1), c(surface.e1), c(surface.e2), c(surface.e1 - surface.e2)
     return ((0, 0, 0), (a ^ b, m ^ a, m ^ b), (a, a ^ g, g), (b, m ^ g, m ^ b ^ g))
@@ -336,9 +336,7 @@ def characteristic_points(
         return
 
     p = place
-    ext = classify_extension(d, p)
-    if ext.kind is _SPLIT_KIND:
-        raise ValueError("d is a local square; nothing to enumerate")
+    ext = _nonsplit_class(d, p)
     m = ext.conductor_n
     reads_units = ext.kind is _RAMIFIED_KIND
     r = surface.r
@@ -438,18 +436,14 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
       Prop1-ii as chi = v mod 2 at an unramified place and r is even, and
       Prop2-i and Prop3-i by the criterion below.
     """
-    ext = classify_extension(d, place)
+    ext = _nonsplit_class(d, place)
     if place == REAL_PLACE:
-        if ext.kind is _SPLIT_KIND:
-            raise ValueError("d > 0 at the real place is the split case")
         # the order is 2^(k - 1) for the k real intervals where the cubic is
         # positive; for three distinct roots its signs on the four intervals
         # cut out by them run -, +, -, +, so k = 2 on every surface
         return _REAL_NEGATIVE, 2
 
     p = place
-    if ext.kind is _SPLIT_KIND:
-        raise ValueError("d is a local square; no case to classify")
     r, big_d = surface.r, surface.big_d
     if ext.kind is _UNRAMIFIED_KIND:
         if r % 2 != 0:

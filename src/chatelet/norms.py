@@ -103,6 +103,17 @@ def classify_extension(d: Rational, place: Place) -> QuadExtClass:
     return _RAMIFIED_N2 if v % 2 else _RAMIFIED_N1
 
 
+def _nonsplit_class(d: Rational, place: Place) -> QuadExtClass:
+    """classify_extension(d, place), refusing a local square (the split
+    case), where the character is trivial and there is nothing to read."""
+    ext = classify_extension(d, place)
+    if ext is _SPLIT:  # every split class is this one constant
+        raise ValueError(
+            f"d is a local square at {place} (the split case): its character is trivial"
+        )
+    return ext
+
+
 @lru_cache(maxsize=4096, typed=True)
 def norm_char_fn(d: Rational, place: Place):
     """chi(d, -, place) partially evaluated for speed: a valuation coefficient
@@ -164,9 +175,7 @@ def chi(d: Rational, x: Rational, place: Place) -> int:
 def conductor_n(d: Rational) -> int:
     """Dyadic conductor exponent: least n >= 1 with chi trivial on 1 + 2^(n+1) Z_2
     and nontrivial on 1 + 2^n Z_2, as classify_extension(d, 2) reads it."""
-    ext = classify_extension(d, 2)
-    if ext.kind is ExtKind.SPLIT:
-        raise ValueError("d is a square in Q_2; the character is trivial")
+    ext = _nonsplit_class(d, 2)
     if ext.kind is ExtKind.UNRAMIFIED:
         raise ValueError("Q_2(sqrt(d)) is unramified; no dyadic conductor here")
     return ext.conductor_n

@@ -141,9 +141,11 @@ def unit_residue(r: Rational, p: int, precision: int) -> int:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol of a mod p in F2 form: 0 for a square, 1 for a non-square."""
+    """Legendre symbol of a mod p in F2 form: 0 for a square, 1 for a non-square.
+    p must be an odd prime that require_prime_place accepts."""
     if p % 2 == 0:
         raise ValueError("legendre needs an odd prime")
+    require_prime_place(p)
     if a % p == 0:
         raise ValueError("legendre is undefined for a divisible by p")
     return 0 if pow(a, (p - 1) // 2, p) == 1 else 1

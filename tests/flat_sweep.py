@@ -40,7 +40,7 @@ from chatelet.local import (
 from chatelet.norms import (
     ExtKind,
     QuadExtClass,
-    classify_extension,
+    _nonsplit_class,
     norm_char_fn,
 )
 from chatelet.padic import REAL_PLACE, Place, Rational, valuation
@@ -133,9 +133,7 @@ def characteristic_points(
         return
 
     p = place
-    ext = classify_extension(d, p)
-    if ext.kind is ExtKind.SPLIT:
-        raise ValueError("d is a local square; nothing to enumerate")
+    ext = _nonsplit_class(d, p)
     w_min, w_max, precision = truncation_bounds(ext, e1, e2, p)
     w_min -= buffer
     w_max += buffer
@@ -179,9 +177,7 @@ def all_children_points(
     it, down to level D + 2m + 1.  `chatelet.local.characteristic_points`
     keeps only the children that hold a root."""
     c = norm_char_fn(d, p)
-    ext = classify_extension(d, p)
-    if ext.kind is ExtKind.SPLIT:
-        raise ValueError("d is a local square; nothing to enumerate")
+    ext = _nonsplit_class(d, p)
     m = ext.conductor_n
     r = surface.r
     s = max(0, (m - r + 1) // 2)

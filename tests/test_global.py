@@ -222,24 +222,21 @@ class TestGlobalChow:
         assert a == b
 
     def test_sample_pool_is_sieved_once(self, monkeypatch):
+        # the pool is sieved at import: a draw sieves nothing
         from chatelet.factorint import primes_below
 
-        limits = []
+        def refused(limit):
+            raise AssertionError(f"primes_below({limit}) called after import")
 
-        def counted(limit):
-            limits.append(limit)
-            return primes_below(limit)
-
-        monkeypatch.setattr(chatelet.globalchow, "primes_below", counted)
-        chatelet.globalchow._sample_pool.cache_clear()
+        monkeypatch.setattr(chatelet.globalchow, "primes_below", refused)
         chatelet.globalchow._default_sample.cache_clear()
         first = global_chow(-1, 0, 1, 2)
         global_chow(-1, 0, 1, 3)
-        assert limits == [2000]
         assert first.sampled_primes == (
             79, 229, 367, 389, 617, 733, 757, 839, 919, 941,
             1103, 1217, 1289, 1327, 1559, 1583, 1657, 1669, 1759, 1987,
         )
+        assert chatelet.globalchow._SAMPLE_POOL == tuple(primes_below(2000)[1:])
 
     def test_sample_primes_must_be_an_int(self):
         with pytest.raises(TypeError, match="sample_primes"):

@@ -27,6 +27,7 @@ from chatelet import (
     chi,
     classify_case,
     classify_extension,
+    conductor_n,
     global_chow,
     is_prime,
     local_chow,
@@ -311,6 +312,27 @@ class TestClassifyCase:
         # 2 = 3^2 mod 7 is a square in Q_7: no case to classify
         with pytest.raises(ValueError, match="local square"):
             classify_case(2, normalize_roots(0, 1, 2, 7), 7)
+
+
+class TestSplitRefusal:
+    # 17 is a square in R, in Q_2 (17 = 1 mod 8) and in Q_13 (17 = 2^2 mod 13)
+    @pytest.mark.parametrize(
+        "call,place",
+        [
+            (lambda: special_fiber_images(17, normalize_roots(0, 1, 2, 13), 13), 13),
+            (lambda: list(characteristic_points(17, normalize_roots(0, 1, 2, 13), 13)), 13),
+            (lambda: classify_case(17, normalize_roots(0, 1, 2, 13), 13), 13),
+            (lambda: classify_case(17, normalize_roots(0, 1, 2, "real"), "real"), "real"),
+            (lambda: conductor_n(17), 2),
+        ],
+        ids=["fibers", "points", "classifier", "classifier-real", "conductor"],
+    )
+    def test_one_text_that_names_the_place(self, call, place):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == (
+            f"d is a local square at {place} (the split case): its character is trivial"
+        )
 
 
 class TestLocalChow:

@@ -165,7 +165,18 @@ class TestLegendre:
         assert legendre(2, 3) == 1
         assert legendre(-1, 7) == 1
 
-    @pytest.mark.parametrize("a,p,match", [(3, 4, "odd prime"), (6, 3, "divisible")])
+    @pytest.mark.parametrize(
+        "a,p,match",
+        [
+            (3, 4, "odd prime"),
+            (6, 3, "divisible"),
+            # an odd modulus that is not a prime is refused as a place is
+            (4, 9, "prime"),
+            (4, 15, "prime"),
+            (4, 21, "prime"),
+            (4, 1, "prime"),
+        ],
+    )
     def test_even_modulus_and_multiple_of_p_rejected(self, a, p, match):
         with pytest.raises(ValueError, match=match):
             legendre(a, p)

@@ -1,0 +1,71 @@
+"""The README's examples, run as written: the command-line lines that show
+their output, and the values the library snippet shows in its comments."""
+
+import ast
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from chatelet.cli import EXIT_OK, main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _block(heading: str, language: str) -> list:
+    """The lines of the first fenced block of the given language after the
+    heading."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    body = section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+    return body.splitlines()
+
+
+def _shown_commands():
+    """(argv, shown output lines) for each `chatelet` line followed by `# `
+    lines, with the elided `# ...` left out."""
+    lines = _block("Command line", "sh")
+    for i, line in enumerate(lines):
+        if not line.startswith("chatelet "):
+            continue
+        shown = []
+        for follow in lines[i + 1:]:
+            if not follow.startswith("# "):
+                break
+            shown.append(follow[2:])
+        if shown:
+            yield shlex.split(line)[1:], [s for s in shown if s != "..."]
+
+
+COMMANDS = list(_shown_commands())
+
+
+def test_the_command_block_shows_output():
+    assert len(COMMANDS) >= 2
+
+
+@pytest.mark.parametrize("argv,shown", COMMANDS, ids=[" ".join(a) for a, _ in COMMANDS])
+def test_command_prints_what_the_readme_shows(argv, shown, capsys):
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    at = 0
+    for line in shown:
+        assert line in out[at:], f"{line!r} not printed after line {at} of {out}"
+        at = out.index(line, at) + 1
+
+
+def test_library_snippet_values():
+    namespace: dict = {}
+    compared = 0
+    for line in _block("Library entry points", "python"):
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        if not comment:
+            exec(code, namespace)
+            continue
+        # the value ends where a note begins: a dash or a second space
+        shown = re.split(r" — |  ", comment.strip(), maxsplit=1)[0]
+        assert eval(code, namespace) == ast.literal_eval(shown), line
+        compared += 1
+    assert compared >= 6
