@@ -394,17 +394,7 @@ def check_order_agreement(rng: random.Random, count: int = 200) -> SuiteResult:
     return tally.result(details=sorted(bins.items()))
 
 
-_ENUMERABLE_FAMILIES = (
-    "Prop1-i",
-    "Prop1-ii",
-    "Prop1-iii",
-    "Prop2-i",
-    "Prop2-ii",
-    "Prop2-iii",
-    "Prop3-i",
-    "Prop3-ii",
-    "Prop3-iii",
-)
+_ENUMERABLE_FAMILIES = tuple(f for f in CASE_FAMILIES if f.startswith("Prop"))
 
 
 def check_sampled_membership(rng: random.Random, count: int = 200) -> SuiteResult:

@@ -20,7 +20,6 @@ from .checks import CheckReport, run_check
 from .factorint import FactorizationError
 from .globalchow import GlobalReport, global_chow
 from .local import ContradictionError, LocalReport, local_chow
-from .norms import ExtKind
 from .padic import REAL_PLACE, Place, hilbert_symbol, require_prime_place
 
 EXIT_OK = 0
@@ -117,7 +116,7 @@ def _local_json(report: LocalReport) -> Dict:
     out: Dict = {
         "place": report.place,
         "extension": {
-            "kind": ext.kind.name.lower(),
+            "kind": ext.kind.value,
             "conductor_n": ext.conductor_n,
         },
         "case": report.case_label,
@@ -174,8 +173,8 @@ def _basis_text(subgroup) -> str:
 
 def _local_text(report: LocalReport) -> List[str]:
     ext = report.ext_class
-    kind = ext.kind.name.lower()
-    if ext.kind is ExtKind.RAMIFIED and report.place == 2:
+    kind = ext.kind.value
+    if ext.conductor_n:
         kind += f" (conductor n={ext.conductor_n})"
     lines = [
         f"place: {report.place}",
@@ -306,8 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     local.add_argument(
         "--p", type=parse_place, required=True, help="a prime number or 'real'"
     )
+    local.set_defaults(run=_run_local)
 
-    sub.add_parser("global", parents=[surface], help="class group over Q")
+    sub.add_parser("global", parents=[surface], help="class group over Q").set_defaults(
+        run=_run_global
+    )
 
     symbol = sub.add_parser(
         "symbol", parents=[common], help="Hilbert symbol (a, b) at a place, as 0 or 1"
@@ -317,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     symbol.add_argument(
         "--p", type=parse_place, required=True, help="a prime number or 'real'"
     )
+    symbol.set_defaults(run=_run_symbol)
 
     check = sub.add_parser(
         "check", parents=[common], help="run the seeded self-check suites"
@@ -328,23 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=50,
         help="iterations per suite (per case family for order agreement)",
     )
+    check.set_defaults(run=_run_check)
 
     return parser
-
-
-_DISPATCH = {
-    "local": _run_local,
-    "global": _run_global,
-    "symbol": _run_symbol,
-    "check": _run_check,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        payload, text_lines, ok = _DISPATCH[args.command](args)
+        payload, text_lines, ok = args.run(args)
     except FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FACTORIZATION

@@ -195,7 +195,7 @@ def global_chow(
 
 @dataclass(frozen=True)
 class ReciprocityReport:
-    symbols: Dict[Place, int]
+    symbols: Tuple[Tuple[Place, int], ...]  # (place, symbol), places ascending
     total: int
 
     @property
@@ -208,5 +208,5 @@ def reciprocity_check(a: Rational, b: Rational) -> ReciprocityReport:
     sum must vanish."""
     a = _nonzero(a, "reciprocity needs nonzero arguments")
     b = _nonzero(b, "reciprocity needs nonzero arguments")
-    symbols = {place: hilbert_symbol(a, b, place) for place in _places_of([a, b])}
-    return ReciprocityReport(symbols, sum(symbols.values()) % 2)
+    symbols = tuple((place, hilbert_symbol(a, b, place)) for place in _places_of([a, b]))
+    return ReciprocityReport(symbols, sum(s for _, s in symbols) % 2)

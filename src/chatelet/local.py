@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .gf2 import member, reduce_rows
 from .norms import (
-    ExtKind,
+    _SPLIT,
+    _UNRAMIFIED,
     QuadExtClass,
     _nonsplit_class,
     chi,
@@ -49,14 +50,6 @@ __all__ = [
 
 Triple = Tuple[int, int, int]
 
-# The kinds as module constants: before Python 3.12 the enum metaclass defines
-# __getattr__, which sends every ExtKind.X lookup down the slow attribute path
-# (about 0.15 us, ten times what a global costs), and a place reads the
-# kind three times.
-_SPLIT_KIND = ExtKind.SPLIT
-_UNRAMIFIED_KIND = ExtKind.UNRAMIFIED
-_RAMIFIED_KIND = ExtKind.RAMIFIED
-
 
 class DegenerateSurfaceError(ValueError):
     """The three roots are not pairwise distinct."""
@@ -84,7 +77,10 @@ class ContradictionError(RuntimeError):
 
 
 def _triple_bits(t: Triple) -> int:
-    return t[0] << 2 | t[1] << 1 | t[2]
+    a, b, c = t
+    if not {a, b, c} <= {0, 1}:
+        raise ValueError(f"a triple has entries 0 or 1, got {t}")
+    return a << 2 | b << 1 | c
 
 
 def _bits_triple(b: int) -> Triple:
@@ -338,7 +334,7 @@ def characteristic_points(
     p = place
     ext = _nonsplit_class(d, p)
     m = ext.conductor_n
-    reads_units = ext.kind is _RAMIFIED_KIND
+    reads_units = ext is not _UNRAMIFIED
     r = surface.r
     # x -> p^(2s) x multiplies by a square, so the triples do not change, and
     # it makes the start ball p^(r - m) Z_p integral.
@@ -410,12 +406,6 @@ def characteristic_subgroup(
     return Subgroup3(tuple(map(_bits_triple, rows))) if rows else TRIVIAL_SUBGROUP
 
 
-# Interface literals for LocalReport.case_label.
-_SPLIT = "Split-trivial"
-_REAL_POSITIVE = "Real-d-positive"
-_REAL_NEGATIVE = "Real-d-negative"
-
-
 def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tuple[str, int]:
     """Predict the group order from normalized root data, without enumeration.
 
@@ -441,11 +431,11 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
         # the order is 2^(k - 1) for the k real intervals where the cubic is
         # positive; for three distinct roots its signs on the four intervals
         # cut out by them run -, +, -, +, so k = 2 on every surface
-        return _REAL_NEGATIVE, 2
+        return "Real-d-negative", 2
 
     p = place
     r, big_d = surface.r, surface.big_d
-    if ext.kind is _UNRAMIFIED_KIND:
+    if ext is _UNRAMIFIED:
         if r % 2 != 0:
             return "Prop1-iii", 4
         if big_d == r:
@@ -544,8 +534,8 @@ def local_chow(
     d0 = _integral_d(d)
     ext = classify_extension(d0, place)  # checks the place, then d
     roots = _distinct_roots(c1, c2, c3)
-    if ext.kind is _SPLIT_KIND:
-        label = _REAL_POSITIVE if place == REAL_PLACE else _SPLIT
+    if ext is _SPLIT:
+        label = "Real-d-positive" if place == REAL_PLACE else "Split-trivial"
         return LocalReport(place, ext, None, label, 1, TRIVIAL_SUBGROUP)
 
     (n1, n2, n3), scale = _integral_roots(roots)

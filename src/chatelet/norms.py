@@ -176,6 +176,6 @@ def conductor_n(d: Rational) -> int:
     """Dyadic conductor exponent: least n >= 1 with chi trivial on 1 + 2^(n+1) Z_2
     and nontrivial on 1 + 2^n Z_2, as classify_extension(d, 2) reads it."""
     ext = _nonsplit_class(d, 2)
-    if ext.kind is ExtKind.UNRAMIFIED:
+    if ext is _UNRAMIFIED:
         raise ValueError("Q_2(sqrt(d)) is unramified; no dyadic conductor here")
     return ext.conductor_n

@@ -108,6 +108,27 @@ class TestLocalCommand:
         assert "group: (Z/2)^2 (order 4)" in out
         assert "generators: (1,0,1), (0,1,1)" in out
 
+    @pytest.mark.parametrize(
+        "d,roots,place,extension,kind,conductor",
+        [
+            ("1", "0,1,2", "3", "split", "split", 0),
+            ("5", "0,1,2", "2", "unramified", "unramified", 0),
+            ("2", "0,1,3", "3", "unramified", "unramified", 0),
+            ("3", "0,1,2", "3", "ramified", "ramified", 0),
+            ("-1", "0,1,2", "2", "ramified (conductor n=1)", "ramified", 1),
+            ("2", "0,1,2", "2", "ramified (conductor n=2)", "ramified", 2),
+            ("-1", "0,1,2", "real", "ramified", "ramified", 0),
+            ("2", "0,1,2", "real", "split", "split", 0),
+        ],
+    )
+    def test_extension_of_each_class(self, capsys, d, roots, place, extension, kind, conductor):
+        args = ["local", "--d", d, "--roots", roots, "--p", place]
+        assert main(args) == EXIT_OK
+        assert f"extension: {extension}" in capsys.readouterr().out.splitlines()
+        assert main(args + ["--format", "json"]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["extension"] == {"kind": kind, "conductor_n": conductor}
+
     def test_real_place(self, capsys):
         assert main(["local", "--d", "-1", "--roots", "0,1,2", "--p", "real"]) == EXIT_OK
         out = capsys.readouterr().out

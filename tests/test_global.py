@@ -173,6 +173,11 @@ class TestKernelDimension:
         with pytest.raises(ValueError, match="sum to zero"):
             kernel_dimension([Subgroup3(((1, 0, 0),))])
 
+    @pytest.mark.parametrize("t", [(2, 0, 0), (1, 0, 3)])
+    def test_entries_outside_0_1_rejected(self, t):
+        with pytest.raises(ValueError, match="entries 0 or 1"):
+            kernel_dimension([Subgroup3((t,))])
+
 
 class TestGlobalChow:
     def test_unit_disc_frozen(self):
@@ -476,14 +481,22 @@ class TestSquareScaling:
 class TestReciprocity:
     def test_minus_one_pair(self):
         rep = reciprocity_check(-1, -1)
-        assert rep.symbols == {"real": 1, 2: 1}
+        assert rep.symbols == (("real", 1), (2, 1))
         assert rep.total == 0
         assert rep.ok
 
     def test_two_five(self):
         rep = reciprocity_check(2, 5)
-        assert rep.symbols == {"real": 0, 2: 1, 5: 1}
+        assert rep.symbols == (("real", 0), (2, 1), (5, 1))
         assert rep.ok
+
+    def test_reports_are_frozen_and_hashable(self):
+        rep = reciprocity_check(Fraction(2, 3), -15)
+        assert rep == reciprocity_check(Fraction(2, 3), -15)
+        assert hash(rep) == hash(reciprocity_check(Fraction(2, 3), -15))
+        assert len({rep, reciprocity_check(2, 5), reciprocity_check(2, 5)}) == 2
+        with pytest.raises(TypeError):
+            rep.symbols[0] = ("real", 1)
 
     @pytest.mark.parametrize(
         "a,b",

@@ -282,6 +282,15 @@ class TestSubgroup3:
         assert TRIVIAL_SUBGROUP.order == 1
         assert TRIVIAL_SUBGROUP.elements() == [(0, 0, 0)]
 
+    @pytest.mark.parametrize("t", [(2, 0, 0), (1, 0, 3), (0, -1, 1)])
+    def test_entries_outside_0_1_rejected(self, t):
+        # unchecked, the bit shifts would read (2, 0, 0) as a bit past the
+        # triple and (1, 0, 3) as (1, 1, 1)
+        with pytest.raises(ValueError, match="entries 0 or 1"):
+            Subgroup3.span([t])
+        with pytest.raises(ValueError, match="entries 0 or 1"):
+            Subgroup3.span([(0, 1, 1)]).contains(t)
+
 
 CLASSIFIER_CASES = [
     (2, (0, 1, 2), 5, "Prop1-i", 1),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chatelet.norms
 import flat_sweep
 from chatelet import (
     REAL_PLACE,
@@ -78,6 +79,28 @@ class TestClassifyExtension:
         # the place is checked before d, so d = 0 at 9 names the place
         with pytest.raises(ValueError, match="place must be a prime or 'real'"):
             classify_extension(d, place)
+
+    def test_classes_are_the_module_constants(self):
+        # local and norms tell the classes apart by identity
+        constants = (
+            chatelet.norms._SPLIT,
+            chatelet.norms._UNRAMIFIED,
+            chatelet.norms._RAMIFIED,
+            chatelet.norms._RAMIFIED_N1,
+            chatelet.norms._RAMIFIED_N2,
+        )
+        seen = set()
+        for place in (REAL_PLACE, 2, 3, 5, 7, 13):
+            for num in range(-40, 41):
+                for den in (1, 2, 3, 8, 49):
+                    if num == 0:
+                        continue
+                    ext = classify_extension(Fraction(num, den), place)
+                    assert any(ext is c for c in constants), (num, den, place)
+                    seen.add(ext)
+        assert seen == set(constants)
+        # a nonzero conductor exponent marks exactly the two ramified classes at 2
+        assert [c.conductor_n for c in constants] == [0, 0, 0, 1, 2]
 
     def test_kinds_match_symbols(self):
         # split iff d is a local square; unramified iff chi is trivial on
