@@ -93,6 +93,13 @@ class Subgroup3:
 
     basis: Tuple[Triple, ...]
 
+    # Fills the instance dict as NormalizedSurface's does, once every entry
+    # is checked to be 0 or 1; the basis is kept as given, not re-reduced.
+    def __init__(self, basis: Tuple[Triple, ...]):
+        for t in basis:
+            _triple_bits(t)
+        self.__dict__["basis"] = basis
+
     @staticmethod
     def span(vectors: Iterable[Triple]) -> "Subgroup3":
         rows = reduce_rows(_triple_bits(v) for v in vectors)

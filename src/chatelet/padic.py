@@ -2,6 +2,8 @@
 
 Everything works on ints and `fractions.Fraction`; there is no floating point
 anywhere. F2 values are plain ints 0/1 (0 = trivial / is a norm).
+hilbert_oracle decides the Hilbert symbol again by exhaustive search, at the
+least precision that certifies its answer, as an independent reference.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "is_rational_square",
     "legendre",
     "require_prime_place",
-    "suggested_oracle_precision",
     "unit_residue",
     "valuation",
 ]
@@ -40,7 +41,7 @@ _ORACLE_MODULUS_CAP = 2_000_000
 
 
 class PrecisionError(ValueError):
-    """An exhaustive p-adic search cannot decide at the given precision."""
+    """The exhaustive search of hilbert_oracle needs a modulus past its cap."""
 
 
 def require_prime_place(place: Place) -> int:
@@ -199,24 +200,6 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
     return (alpha * beta * eps_p + beta * legendre(u, p) + alpha * legendre(w, p)) % 2
 
 
-def suggested_oracle_precision(a: Rational, b: Rational, p: int) -> int:
-    """Default search precision for hilbert_oracle at p.
-
-    Valuations enter mod 2 because the oracle works on square-class
-    representatives with valuation 0 or 1.
-    """
-    va = valuation(a, p) % 2
-    vb = valuation(b, p) % 2
-    return 2 * (va + vb) + (6 if p == 2 else 3)
-
-
-def _square_class_rep(r: Rational, v: int, p: int, k: int) -> int:
-    """Integer representative of the square class of r: p^v * unit, for
-    v = v_p(r) mod 2.  Exact up to a 1 + p^(k-1) unit, which is a square at
-    the precisions the oracle enforces."""
-    return p**v * unit_residue(r, p, max(k - v, 1))
-
-
 def _int_valuation(x: int, p: int):
     return None if x == 0 else _valuation_and_unit(x, p)[0]
 
@@ -235,38 +218,37 @@ def _scaled_square_table(c: int, p: int, k: int) -> dict:
     return table
 
 
-def hilbert_oracle(a: Rational, b: Rational, p: int, k: int) -> int:
+def hilbert_oracle(a: Rational, b: Rational, p: int) -> int:
     """Decide the Hilbert symbol by exhaustive search for z^2 = a x^2 + b y^2 mod p^k.
 
-    Independent of the closed formulas in hilbert_symbol: primitive solution
-    triples are enumerated directly, in the classes z = 1 and x = 1, and
-    accepted only when the standard Hensel bound k >= 2*delta + 1 certifies
-    lifting to the completion.  The class y = 1 adds nothing: in a solution
-    (z, x, 1) mod p^k, z or x is a unit, as p^2 does not divide B (v(B) <= 1
-    and k >= min_k >= 2), and scaling by its inverse reaches the class z = 1
-    or x = 1 with the same coordinate valuations (the least square-root
-    valuation in _scaled_square_table is the same for t and t u^2, u a unit),
-    so the same Hensel test accepts it there.  Raises PrecisionError when k
-    is too small to decide, or too large to enumerate.
+    Independent of the closed formulas in hilbert_symbol.  Let v_a, v_b be
+    the valuations mod 2 and k the least precision with
+    p^k > 8 p^(2 max(v_a, v_b)), so k >= 2 v_a + 1, and k >= 2 v_a + 4 at
+    p = 2.  a enters as A = p^v_a (its unit mod p^(k - v_a)), in its square
+    class since a unit = 1 mod p^(k - v_a) is a square at this k; b as B
+    likewise.  Primitive solutions mod p^k are enumerated in the classes
+    z = 1 and x = 1, and one is accepted only when the Hensel bound
+    k >= 2 delta + 1, delta = v(2 c w) for a coefficient c and its
+    coordinate w, proves that it lifts: an answer 0 is right.  A primitive
+    solution over Z_p has z or x a unit, for were both in p Z_p, y would be
+    a unit and B y^2 = z^2 - A x^2 in p^2 Z_p, while v(B) <= 1.  Scaled by
+    the inverse of that unit it lies in one of the two classes, where the
+    unit coordinate has delta <= v(2) + v_a, within the Hensel bound at this
+    k, k = 1 included: an answer 1 is right too, and the class y = 1 adds
+    nothing.  Raises PrecisionError when p^k is past the search cap.
     """
     p = require_prime_place(p)
     va = valuation(a, p) % 2
     vb = valuation(b, p) % 2
-    # smallest usable precision: p^k must exceed 8 * p^(2 * max valuation)
+    # the least k with p^k > 8 p^(2 max(v_a, v_b))
     bound = 8 * p ** (2 * max(va, vb))
-    min_k = 1
-    while p**min_k <= bound:
-        min_k += 1
-    if k < min_k:
-        raise PrecisionError(
-            f"hilbert_oracle needs k >= {min_k} for these arguments at p = {p}, got {k}"
-        )
-    # 2^k > cap from k = cap.bit_length() on, so no larger p^k is formed
-    if k >= _ORACLE_MODULUS_CAP.bit_length() or p**k > _ORACLE_MODULUS_CAP:
+    k, mod = 1, p
+    while mod <= bound:
+        k, mod = k + 1, mod * p
+    if mod > _ORACLE_MODULUS_CAP:
         raise PrecisionError(f"search modulus {p}^{k} exceeds the exhaustive budget")
-    mod = p**k
-    A = _square_class_rep(a, va, p, k)
-    B = _square_class_rep(b, vb, p, k)
+    A = p**va * unit_residue(a, p, k - va)
+    B = p**vb * unit_residue(b, p, k - vb)
 
     v2 = 1 if p == 2 else 0
     squares = _scaled_square_table(1, p, k)

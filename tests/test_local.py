@@ -285,11 +285,14 @@ class TestSubgroup3:
     @pytest.mark.parametrize("t", [(2, 0, 0), (1, 0, 3), (0, -1, 1)])
     def test_entries_outside_0_1_rejected(self, t):
         # unchecked, the bit shifts would read (2, 0, 0) as a bit past the
-        # triple and (1, 0, 3) as (1, 1, 1)
+        # triple and (1, 0, 3) as (1, 1, 1), and Subgroup3(((2, 0, 0),))
+        # would report order 2
         with pytest.raises(ValueError, match="entries 0 or 1"):
             Subgroup3.span([t])
         with pytest.raises(ValueError, match="entries 0 or 1"):
             Subgroup3.span([(0, 1, 1)]).contains(t)
+        with pytest.raises(ValueError, match="entries 0 or 1"):
+            Subgroup3(((0, 1, 1), t))
 
 
 CLASSIFIER_CASES = [

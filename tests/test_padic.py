@@ -24,7 +24,6 @@ from chatelet import (
     normalize_roots,
     reciprocity_check,
     require_prime_place,
-    suggested_oracle_precision,
     unit_residue,
     valuation,
 )
@@ -365,49 +364,31 @@ class TestReciprocity:
 
 class TestOracle:
     def test_frozen(self):
-        assert hilbert_oracle(-1, -1, 2, 6) == 1
-        assert hilbert_oracle(1, 7, 5, 3) == 0
-        assert hilbert_oracle(5, 2, 5, 4) == 1
+        assert hilbert_oracle(-1, -1, 2) == 1
+        assert hilbert_oracle(1, 7, 5) == 0
+        assert hilbert_oracle(5, 2, 5) == 1
 
     def test_first_argument_one_is_always_solvable(self):
         for b in (3, -6, Fraction(7, 5)):
-            k = suggested_oracle_precision(1, b, 5)
-            assert hilbert_oracle(1, b, 5, k) == 0
-
-    def test_insufficient_precision_refuses(self):
-        with pytest.raises(PrecisionError):
-            hilbert_oracle(5, 2, 5, 3)  # needs k >= 4 once valuations enter
+            assert hilbert_oracle(1, b, 5) == 0
 
     def test_oversized_modulus_refuses(self):
-        with pytest.raises(PrecisionError):
-            hilbert_oracle(1, 2, 1999, 3)
-
-    def test_huge_precision_refused_before_any_power(self):
-        # refused from k alone: a unit residue mod 5^(3 * 10^6) takes seconds
-        with wall_clock_guard(1), pytest.raises(PrecisionError, match="exceeds"):
-            hilbert_oracle(Fraction(2, 7), 3, 5, 3 * 10**6)
-
-    def test_low_precision_refused_first(self):
-        # 1999^2 is past the cap too, but too small a k is named first
-        with pytest.raises(PrecisionError, match="needs k >= 3"):
-            hilbert_oracle(1999, 1, 1999, 2)
-
-    def test_suggested_precision(self):
-        assert suggested_oracle_precision(5, 2, 5) == 5
-        assert suggested_oracle_precision(1, 7, 5) == 3
-        assert suggested_oracle_precision(-1, -1, 2) == 6
-        assert suggested_oracle_precision(12, 2, 2) == 8  # 12 has even valuation
+        # one odd valuation at 1999 needs k = 3, and 1999^3 is past the cap
+        with pytest.raises(PrecisionError, match="exceeds"):
+            hilbert_oracle(1999, 1, 1999)
+        # two units need only k = 1: the search runs mod 1999
+        assert hilbert_oracle(1, 2, 1999) == hilbert_symbol(1, 2, 1999) == 0
 
     def test_agrees_with_formula_on_grid(self):
         # deterministic miniature corpus; the big seeded one lives in checks
         values = (1, -1, 2, -2, 3, 5, -5, Fraction(1, 2), Fraction(-3, 4),
                   Fraction(5, 9), Fraction(-7, 12), Fraction(3, 50))
-        for p in (2, 3, 5):
-            for a in values:
-                for b in values:
-                    k = suggested_oracle_precision(a, b, p)
-                    assert hilbert_oracle(a, b, p, k) == hilbert_symbol(a, b, p), (
-                        a,
-                        b,
-                        p,
-                    )
+        # at 7, 11 and 13 values of odd valuation join the grid, so pairs
+        # with one and with two odd valuations are searched there too
+        odd = {7: (7, -7, Fraction(3, 7)), 11: (11, Fraction(-2, 11)),
+               13: (13, Fraction(-5, 13), 26)}
+        for p in (2, 3, 5, 7, 11, 13):
+            grid = values + odd.get(p, ())
+            for a in grid:
+                for b in grid:
+                    assert hilbert_oracle(a, b, p) == hilbert_symbol(a, b, p), (a, b, p)

@@ -95,15 +95,16 @@ def test_reports_digest():
 
 
 # One report of each kind with every field set: a nontrivial place of a
-# surface with L = 6, whose `normalized` holds Fractions.
+# surface with L = 6, whose `normalized` holds Fractions, and its subgroup.
 _REPORT = local_chow(Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4), 3)
-_FROZEN = [_REPORT, _REPORT.normalized]
+_FROZEN = [_REPORT, _REPORT.normalized, _REPORT.subgroup]
 
 
 @pytest.mark.parametrize("obj", _FROZEN, ids=lambda obj: type(obj).__name__)
 class TestFrozenDataclassContract:
-    """LocalReport and NormalizedSurface fill their fields in a hand-written
-    __init__; they must behave as the generated frozen dataclass would."""
+    """LocalReport, NormalizedSurface and Subgroup3 fill their fields in a
+    hand-written __init__; they must behave as the generated frozen dataclass
+    would."""
 
     def test_fields_cannot_be_set_or_deleted(self, obj):
         name = dataclasses.fields(obj)[0].name
@@ -127,7 +128,8 @@ class TestFrozenDataclassContract:
         assert hash(obj) == hash(values)
         listed = ", ".join(f"{f.name}={v!r}" for f, v in zip(dataclasses.fields(obj), values))
         assert repr(obj) == f"{type(obj).__qualname__}({listed})"
-        other = dataclasses.replace(obj, **{dataclasses.fields(obj)[-1].name: None})
+        # () differs from each last field and is a basis Subgroup3 accepts
+        other = dataclasses.replace(obj, **{dataclasses.fields(obj)[-1].name: ()})
         assert other != obj and obj == dataclasses.replace(obj)
 
     def test_asdict_recurses(self, obj):
