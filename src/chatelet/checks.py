@@ -255,6 +255,8 @@ def random_surface(
     refinement); small restricts primes and depths so that the flat-sweep
     test oracle stays cheap on the result.
     """
+    if family not in CASE_FAMILIES:
+        raise ValueError(f"unknown case family {family!r}")
     if family == "Real-d-positive":
         return abs(random_rational(rng)), _distinct_rationals(rng), REAL_PLACE
     if family == "Real-d-negative":
@@ -267,10 +269,8 @@ def random_surface(
         d, e1, e2, p = _prop1(rng, sub, small)
     elif group == "Prop2":
         d, e1, e2, p = _prop2(rng, sub, small)
-    elif group == "Prop3":
-        d, e1, e2, p = _prop3(rng, sub, heavy, small)
     else:
-        raise ValueError(f"unknown case family {family!r}")
+        d, e1, e2, p = _prop3(rng, sub, heavy, small)
     if rng.random() < 0.3:
         d *= random_rational(rng, 1) ** 2  # same square class, messier input
     shift = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))

@@ -9,7 +9,6 @@ least precision that certifies its answer, as an independent reference.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import Tuple, Union
 
@@ -44,16 +43,22 @@ class PrecisionError(ValueError):
     """The exhaustive search of hilbert_oracle needs a modulus past its cap."""
 
 
-def require_prime_place(place: Place) -> int:
-    """The finite place as an int, or ValueError if it is not a prime that
-    is_prime can certify.  The type is checked before the cached primality
-    test, so an unhashable place raises ValueError too."""
+def _require_prime(p: object, refusal: str) -> int:
+    """p itself if it is an int prime that is_prime can certify, else
+    ValueError with the text refusal.  The type is checked before the cached
+    primality test, so an unhashable p raises ValueError too."""
     try:
-        if isinstance(place, int) and place >= 2 and is_prime(place):
-            return place
+        if isinstance(p, int) and p >= 2 and is_prime(p):
+            return p
     except FactorizationError:  # beyond the proven Miller-Rabin witness limit
         pass
-    raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
+    raise ValueError(f"{refusal}, got {p!r}")
+
+
+def require_prime_place(place: Place) -> int:
+    """The finite place as an int, or ValueError if it is not a prime that
+    is_prime can certify."""
+    return _require_prime(place, "place must be a prime or 'real'")
 
 
 def _as_rational(r: Rational) -> Rational:
@@ -143,10 +148,10 @@ def unit_residue(r: Rational, p: int, precision: int) -> int:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol of a mod p in F2 form: 0 for a square, 1 for a non-square.
-    p must be an odd prime that require_prime_place accepts."""
-    if p % 2 == 0:
-        raise ValueError("legendre needs an odd prime")
-    require_prime_place(p)
+    p must be an odd prime that is_prime can certify."""
+    if p == 2:
+        raise ValueError(f"legendre needs an odd prime, got {p!r}")
+    _require_prime(p, "legendre needs an odd prime")
     if a % p == 0:
         raise ValueError("legendre is undefined for a divisible by p")
     return 0 if pow(a, (p - 1) // 2, p) == 1 else 1
@@ -200,24 +205,6 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
     return (alpha * beta * eps_p + beta * legendre(u, p) + alpha * legendre(w, p)) % 2
 
 
-def _int_valuation(x: int, p: int):
-    return None if x == 0 else _valuation_and_unit(x, p)[0]
-
-
-@lru_cache(maxsize=32)
-def _scaled_square_table(c: int, p: int, k: int) -> dict:
-    """Map c * y^2 mod p^k -> minimal valuation of y over y in [1, p^k)."""
-    mod = p**k
-    table: dict = {}
-    for y in range(1, mod):
-        val = c * y * y % mod
-        vy = _int_valuation(y, p)
-        prev = table.get(val)
-        if prev is None or vy < prev:
-            table[val] = vy
-    return table
-
-
 def hilbert_oracle(a: Rational, b: Rational, p: int) -> int:
     """Decide the Hilbert symbol by exhaustive search for z^2 = a x^2 + b y^2 mod p^k.
 
@@ -226,18 +213,23 @@ def hilbert_oracle(a: Rational, b: Rational, p: int) -> int:
     p^k > 8 p^(2 max(v_a, v_b)), so k >= 2 v_a + 1, and k >= 2 v_a + 4 at
     p = 2.  a enters as A = p^v_a (its unit mod p^(k - v_a)), in its square
     class since a unit = 1 mod p^(k - v_a) is a square at this k; b as B
-    likewise.  Primitive solutions mod p^k are enumerated in the classes
-    z = 1 and x = 1, and one is accepted only when the Hensel bound
-    k >= 2 delta + 1, delta = v(2 c w) for a coefficient c and its
-    coordinate w, proves that it lifts: an answer 0 is right.  A primitive
-    solution over Z_p has z or x a unit, for were both in p Z_p, y would be
-    a unit and B y^2 = z^2 - A x^2 in p^2 Z_p, while v(B) <= 1.  Scaled by
-    the inverse of that unit it lies in one of the two classes, where the
-    unit coordinate has delta <= v(2) + v_a, within the Hensel bound at this
-    k, k = 1 included: an answer 1 is right too, and the class y = 1 adds
-    nothing.  Raises PrecisionError when p^k is past the search cap.
+    likewise.  The search is a membership test: one byte table marks the
+    squares mod p^k, another B times a square, and the answer is 0 when
+    1 - A x^2 is in the second for some x (class z = 1) or A + B y^2 is in
+    the first for some y (class x = 1).
+
+    Nothing is lost either way.  In either class a solution has a unit
+    coordinate w, z or x, whose term c w^2 has c = 1 or A, so
+    delta = v(2 c w) <= v(2) + v_a and k >= 2 delta + 1: by Hensel's lemma
+    every solution found mod p^k lifts to Q_p, and an answer 0 is right.  A
+    primitive solution over Z_p has z or x a unit, for were both in p Z_p,
+    y would be a unit and B y^2 = z^2 - A x^2 in p^2 Z_p, while v(B) <= 1.
+    Scaled by the inverse of that unit it lies in one of the two classes,
+    and its reduction mod p^k is found: an answer 1 is right too, and the
+    class y = 1 adds nothing.  Raises PrecisionError when p^k is past the
+    search cap.
     """
-    p = require_prime_place(p)
+    p = _require_prime(p, "hilbert_oracle needs a prime")
     va = valuation(a, p) % 2
     vb = valuation(b, p) % 2
     # the least k with p^k > 8 p^(2 max(v_a, v_b))
@@ -249,33 +241,11 @@ def hilbert_oracle(a: Rational, b: Rational, p: int) -> int:
         raise PrecisionError(f"search modulus {p}^{k} exceeds the exhaustive budget")
     A = p**va * unit_residue(a, p, k - va)
     B = p**vb * unit_residue(b, p, k - vb)
-
-    v2 = 1 if p == 2 else 0
-    squares = _scaled_square_table(1, p, k)
-    b_values = _scaled_square_table(B % mod, p, k)
-
-    def accepted(slots) -> bool:
-        # slots: (coefficient valuation, coordinate valuation or None for a zero coordinate)
-        deltas = [v2 + cv + xv for cv, xv in slots if xv is not None]
-        return bool(deltas) and k >= 2 * min(deltas) + 1
-
-    # class z = 1: A x^2 + B y^2 == 1
-    for x in range(mod):
-        target = (1 - A * x * x) % mod
-        vy = b_values.get(target)
-        if vy is None and target != 0:
-            continue
-        vx = _int_valuation(x, p)
-        if accepted(((0, 0), (va, vx), (vb, vy))):
-            return 0
-    # class x = 1: z^2 == A + B y^2
-    for y in range(mod):
-        target = (A + B * y * y) % mod
-        vz = squares.get(target)
-        if vz is None and target != 0:
-            continue
-        vy = _int_valuation(y, p)
-        if accepted(((0, vz), (va, 0), (vb, vy))):
+    squares, b_squares = bytearray(mod), bytearray(mod)
+    for x in range(mod // 2 + 1):  # x and -x have one square
+        s = x * x % mod
+        squares[s] = b_squares[B * s % mod] = 1
+    for s in range(mod):
+        if squares[s] and (b_squares[(1 - A * s) % mod] or squares[(A + B * s) % mod]):
             return 0
     return 1
-

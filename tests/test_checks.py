@@ -109,5 +109,8 @@ def test_random_surface_families():
 
 
 def test_random_surface_unknown_family():
-    with pytest.raises(ValueError):
-        random_surface(random.Random(0), "Prop9-x")
+    # each name is refused before a constructor runs, not read as a family
+    # it resembles
+    for family in ("Prop9-x", "Prop1-iv", "Prop2-x", "Prop3-", "Real", "nonsense"):
+        with pytest.raises(ValueError, match="unknown case family"):
+            random_surface(random.Random(0), family)

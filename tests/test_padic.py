@@ -1,11 +1,15 @@
 """Valuations, square classes, and Hilbert symbols: frozen values and identities."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chatelet
 from guards import wall_clock_guard
 from chatelet import (
     REAL_PLACE,
@@ -174,11 +178,15 @@ class TestLegendre:
             (4, 15, "prime"),
             (4, 21, "prime"),
             (4, 1, "prime"),
+            # legendre takes an odd prime only, so no refusal offers 'real'
+            (2, REAL_PLACE, "odd prime"),
+            (2, [3], "odd prime"),
         ],
     )
     def test_even_modulus_and_multiple_of_p_rejected(self, a, p, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as refusal:
             legendre(a, p)
+        assert "or 'real'" not in str(refusal.value)
 
     def test_matches_square_enumeration(self):
         for p in (3, 5, 7, 11, 13):
@@ -378,6 +386,36 @@ class TestOracle:
             hilbert_oracle(1999, 1, 1999)
         # two units need only k = 1: the search runs mod 1999
         assert hilbert_oracle(1, 2, 1999) == hilbert_symbol(1, 2, 1999) == 0
+
+    @pytest.mark.parametrize("place", [REAL_PLACE, 9, [3]])
+    def test_non_prime_refusal_offers_no_real_place(self, place):
+        # the oracle searches mod a power of a prime only
+        with pytest.raises(ValueError, match="prime") as refusal:
+            hilbert_oracle(2, 3, place)
+        assert "or 'real'" not in str(refusal.value)
+
+    def test_search_memory_is_bounded(self):
+        # one odd valuation at 113 makes each call a search mod 113^3; a
+        # child process reports its peak resident set after three of them
+        script = (
+            "import resource\n"
+            "from chatelet import hilbert_oracle, hilbert_symbol\n"
+            "for b in (7, 11, 3):\n"
+            "    assert hilbert_oracle(113, b, 113) == hilbert_symbol(113, b, 113), b\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(chatelet.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        # ru_maxrss counts KiB on Linux and bytes on macOS
+        peak_mb = int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+        assert peak_mb < 100, f"peak resident set {peak_mb:.0f} MB"
 
     def test_agrees_with_formula_on_grid(self):
         # deterministic miniature corpus; the big seeded one lives in checks
