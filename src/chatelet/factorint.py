@@ -28,6 +28,9 @@ _RHO_WIDE_BITS_SQUARED = 60000
 # Evaluations multiplied together between two gcds.
 _RHO_BATCH = 64
 
+# psi_13, the least strong pseudoprime to the first thirteen prime bases
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_PSI_13 = 3317044064679887385961981
 # (limit, bases): the first primes as Miller-Rabin witnesses are provably
 # complete below each limit, the least strong pseudoprime to all of them
 # (psi_1, psi_2, psi_3, psi_4 and psi_13).
@@ -36,7 +39,7 @@ _MILLER_RABIN_WITNESSES = (
     (1373653, (2, 3)),
     (25326001, (2, 3, 5)),
     (3215031751, (2, 3, 5, 7)),
-    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+    (_PSI_13, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 # A number sharing a factor with this product is prime only if it is a base.
 _WITNESS_PRODUCT = prod(_MILLER_RABIN_WITNESSES[-1][1])
@@ -57,8 +60,9 @@ def is_prime(n: int) -> bool:
     every n sharing a factor with them.  Past psi_13 the thirteen bases still
     prove a composite n composite; a strong probable prime there raises
     FactorizationError, as no proven witness set certifies it.  The last
-    1024 answers are kept, one cache for factorize and the place checks; an
-    error is not, so only a refused n past psi_13 is tested each time again."""
+    1024 answers are kept, one cache for factorize and the place checks.  An
+    error is not kept, so factoring tests a strong probable prime past
+    psi_13 again each time it meets it; a place check never asks about one."""
     if n < 2:
         return False
     if gcd(n, _WITNESS_PRODUCT) > 1:
@@ -82,7 +86,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= _MILLER_RABIN_WITNESSES[-1][0]:
+    if n >= _PSI_13:
         raise FactorizationError(
             f"{n} exceeds the deterministic Miller-Rabin witness limit", n
         )

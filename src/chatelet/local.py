@@ -78,7 +78,8 @@ class ContradictionError(RuntimeError):
 
 def _triple_bits(t: Triple) -> int:
     a, b, c = t
-    if not {a, b, c} <= {0, 1}:
+    # a bool or a float equal to 0 or 1 passes the set test, so types first
+    if not (type(a) is type(b) is type(c) is int and {a, b, c} <= {0, 1}):
         raise ValueError(f"a triple has entries 0 or 1, got {t}")
     return a << 2 | b << 1 | c
 

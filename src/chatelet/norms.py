@@ -126,11 +126,9 @@ def norm_char_fn(d: Rational, place: Place):
     (d, u)_p = (u/p)^v_p(d) for a unit u, so chi is nontrivial on units
     exactly when v_p(d) is odd, that is when the extension is ramified; only
     then is the unit class read, by Euler's criterion, so a cached evaluator
-    holds no table of residues.  The valuation coefficient at odd p is
-    c = (d, p)_p = v eps(p) + leg(u) for d = p^v u, eps(p) = (p - 1) / 2 mod 2
-    (Serre, A Course in Arithmetic, ch. III, Thm. 1), with (v, u) read
-    through _square_class as classify_extension reads it.  The place is
-    checked once, by the cached classify_extension."""
+    holds no table of residues.  At every prime the valuation coefficient is
+    c = (d, p)_p, read from hilbert_symbol.  The place is checked once, by
+    the cached classify_extension."""
     d = _nonzero(d, "d must be nonzero")
     ramified = classify_extension(d, place).kind is ExtKind.RAMIFIED
     if place == REAL_PLACE:
@@ -141,8 +139,8 @@ def norm_char_fn(d: Rational, place: Place):
 
         return ev_real
     p = place
+    c = hilbert_symbol(d, p, p)
     if p == 2:
-        c = hilbert_symbol(d, p, p)
         table = {u: hilbert_symbol(d, u, 2) for u in (1, 3, 5, 7)}
 
         def ev_dyadic(x) -> int:
@@ -152,8 +150,6 @@ def norm_char_fn(d: Rational, place: Place):
 
         return ev_dyadic
     half = (p - 1) // 2
-    v, u = _square_class(d, p)
-    c = (v * half + legendre(u, p)) % 2
 
     # Euler's criterion stays inline here, not through legendre: ev_odd runs
     # on every enumerated point, where legendre's checks would run each time.

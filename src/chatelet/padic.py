@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Tuple, Union
 
-from .factorint import FactorizationError, is_prime
+from .factorint import _PSI_13, is_prime
 
 Rational = Union[int, Fraction]
 
@@ -37,6 +37,9 @@ __all__ = [
 
 # Exhaustive search in hilbert_oracle refuses beyond this modulus.
 _ORACLE_MODULUS_CAP = 2_000_000
+# A refused int is echoed by its repr where that has at most 80 characters,
+# which is where -10^79 < p < 10^80.
+_ECHO_BOUND = 10**80
 
 
 class PrecisionError(ValueError):
@@ -44,14 +47,21 @@ class PrecisionError(ValueError):
 
 
 def _require_prime(p: object, refusal: str) -> int:
-    """p itself if it is an int prime that is_prime can certify, else
-    ValueError with the text refusal.  The type is checked before the cached
-    primality test, so an unhashable p raises ValueError too."""
-    try:
-        if isinstance(p, int) and p >= 2 and is_prime(p):
-            return p
-    except FactorizationError:  # beyond the proven Miller-Rabin witness limit
-        pass
+    """p itself if it is an int with 2 <= p < psi_13 that is_prime proves
+    prime, else ValueError with the text refusal.
+
+    Past psi_13 is_prime never returns True: there its thirteen bases show
+    a composite to be composite, and a strong probable prime raises
+    FactorizationError, as no proven witness set certifies it.  So a p past
+    psi_13 is refused by its size, before any Miller-Rabin round.  The type
+    is checked before the cached primality test, so an unhashable p raises
+    ValueError too.  An int too wide to echo is named by its bit length,
+    since its decimal string costs time quadratic in its width and past 4300
+    digits Python refuses to make it."""
+    if isinstance(p, int) and 2 <= p < _PSI_13 and is_prime(p):
+        return p
+    if isinstance(p, int) and not -_ECHO_BOUND // 10 < p < _ECHO_BOUND:
+        raise ValueError(f"{refusal}, got an int of {p.bit_length()} bits")
     raise ValueError(f"{refusal}, got {p!r}")
 
 

@@ -163,7 +163,7 @@ class TestLocalCommand:
             assert exc.value.code == EXIT_INVALID_INPUT
 
     def test_uncertifiable_place_exits_via_argparse(self, capsys):
-        # a prime past psi_13 is refused each time: no refusal is cached
+        # a prime past psi_13 is refused by its size, each time alike
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:
                 main(["local", "--d", "-1", "--roots", "0,1,2", "--p", UNCERTIFIABLE_PRIME])

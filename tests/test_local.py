@@ -282,11 +282,14 @@ class TestSubgroup3:
         assert TRIVIAL_SUBGROUP.order == 1
         assert TRIVIAL_SUBGROUP.elements() == [(0, 0, 0)]
 
-    @pytest.mark.parametrize("t", [(2, 0, 0), (1, 0, 3), (0, -1, 1)])
+    @pytest.mark.parametrize(
+        "t", [(2, 0, 0), (1, 0, 3), (0, -1, 1), (True, 0, 1), (1.0, 0, 1), (0, 0.0, 0)]
+    )
     def test_entries_outside_0_1_rejected(self, t):
         # unchecked, the bit shifts would read (2, 0, 0) as a bit past the
         # triple and (1, 0, 3) as (1, 1, 1), and Subgroup3(((2, 0, 0),))
-        # would report order 2
+        # would report order 2; a bool would stay in the basis, and a float
+        # would fail in the shifts with TypeError
         with pytest.raises(ValueError, match="entries 0 or 1"):
             Subgroup3.span([t])
         with pytest.raises(ValueError, match="entries 0 or 1"):

@@ -1,6 +1,7 @@
 """Valuations, square classes, and Hilbert symbols: frozen values and identities."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -298,7 +299,8 @@ class TestHilbertSymbolFrozen:
         assert misses == [1, 1, 2] + [2] * 6
 
     def test_uncertifiable_place_refused_every_time(self):
-        # is_prime caches no error, so a refusal never turns into an answer
+        # a place past psi_13 is refused by its size, so a refusal never
+        # turns into an answer
         for _ in range(2):
             with pytest.raises(ValueError, match="place must be a prime"):
                 require_prime_place(UNCERTIFIABLE_PRIME)
@@ -306,6 +308,45 @@ class TestHilbertSymbolFrozen:
                 local_chow(-1, 0, 1, 2, UNCERTIFIABLE_PRIME)
             with pytest.raises(ValueError, match="place must be a prime"):
                 hilbert_symbol(2, 3, UNCERTIFIABLE_PRIME)
+
+    def test_place_past_psi_13_refused_by_its_size(self, capsys):
+        # past psi_13 is_prime never returns True, so every place reader
+        # refuses such a place by its size, before any Miller-Rabin round
+        # (thirteen rounds on 2^11213 - 1 take about 40 s); 10^5000 + 1 has
+        # no decimal string at Python's default limit, so it is named by its
+        # bit length
+        from chatelet.cli import EXIT_INVALID_INPUT, main
+        from chatelet.factorint import is_prime
+
+        psi_13 = 3317044064679887385961981
+        places = [2**11213 - 1, psi_13, 10**25 + 13, 10**5000 + 1]
+        texts = [str(p) for p in places[:3]] + ["1" + "0" * 4999 + "1"]
+        place_refusal = "place must be a prime or 'real', got "
+        readers = [
+            (require_prime_place, place_refusal),
+            (lambda p: legendre(3, p), "legendre needs an odd prime, got "),
+            (lambda p: hilbert_oracle(2, 3, p), "hilbert_oracle needs a prime, got "),
+            (lambda p: classify_extension(-1, p), place_refusal),
+            (lambda p: normalize_roots(0, 1, 2, p), place_refusal),
+            (lambda p: hilbert_symbol(2, 3, p), place_refusal),
+            (lambda p: is_local_square(3, p), place_refusal),
+            (lambda p: local_chow(-1, 0, 1, 2, p), place_refusal),
+        ]
+        before = is_prime.cache_info()
+        with wall_clock_guard(1):
+            for p, text in zip(places, texts):
+                for read, refusal in readers:
+                    with pytest.raises(ValueError, match="^" + re.escape(refusal)):
+                        read(p)
+                with pytest.raises(SystemExit) as exc:
+                    main(["local", "--d", "-1", "--roots", "0,1,2", "--p", text])
+                assert exc.value.code == EXIT_INVALID_INPUT
+                assert "place must be a prime" in capsys.readouterr().err
+            with pytest.raises(ValueError, match=r", got an int of 16610 bits$"):
+                require_prime_place(10**5000 + 1)
+        assert is_prime.cache_info() == before
+        # the largest prime below psi_13 is still proven and accepted
+        assert require_prime_place(psi_13 - 168) == psi_13 - 168
 
 
 class TestHilbertSymbolProperties:
