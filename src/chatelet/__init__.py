@@ -16,7 +16,6 @@ from .checks import (
     check_root_scaling,
     check_sampled_membership,
     check_square_scaling,
-    check_symbol_identities,
     check_symbol_oracle,
     random_rational,
     random_surface,
@@ -96,7 +95,6 @@ __all__ = [
     "check_root_scaling",
     "check_sampled_membership",
     "check_square_scaling",
-    "check_symbol_identities",
     "check_symbol_oracle",
     "chi",
     "classify_case",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
+from .factorint import _echo
 from .globalchow import reciprocity_check
 from .local import (
     ContradictionError,
@@ -45,7 +46,6 @@ __all__ = [
     "check_root_scaling",
     "check_sampled_membership",
     "check_square_scaling",
-    "check_symbol_identities",
     "check_symbol_oracle",
     "random_rational",
     "random_surface",
@@ -68,7 +68,6 @@ CASE_FAMILIES = (
 )
 
 _SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13)
-_PLACE_POOL = (REAL_PLACE, 2, 3, 5, 7, 11, 13)
 _MAX_TRIES = 400
 _MAX_STORED_FAILURES = 5
 
@@ -256,7 +255,7 @@ def random_surface(
     test oracle stays cheap on the result.
     """
     if family not in CASE_FAMILIES:
-        raise ValueError(f"unknown case family {family!r}")
+        raise ValueError(f"unknown case family {_echo(family)}")
     if family == "Real-d-positive":
         return abs(random_rational(rng)), _distinct_rationals(rng), REAL_PLACE
     if family == "Real-d-negative":
@@ -308,36 +307,6 @@ def check_symbol_oracle(rng: random.Random, count: int = 500) -> SuiteResult:
         tally.record(
             got == expected,
             f"(a={a}, b={b}, p={p}): formula {expected}, search {got}",
-        )
-    return tally.result()
-
-
-def check_symbol_identities(rng: random.Random, count: int = 1000) -> SuiteResult:
-    """Bilinearity, symmetry, (a, -a) = 0, and (a, s^2) = 0 at random places."""
-    tally = _Tally("symbol-identities")
-    for _ in range(count):
-        place = rng.choice(_PLACE_POOL)
-        a = random_rational(rng)
-        b = random_rational(rng)
-        c = random_rational(rng)
-        s = random_rational(rng)
-        problems = []
-        if hilbert_symbol(a, b, place) != hilbert_symbol(b, a, place):
-            problems.append("symmetry")
-        total = (
-            hilbert_symbol(a, b * c, place)
-            + hilbert_symbol(a, b, place)
-            + hilbert_symbol(a, c, place)
-        )
-        if total % 2 != 0:
-            problems.append("bilinearity")
-        if hilbert_symbol(a, -a, place) != 0:
-            problems.append("(a,-a)")
-        if hilbert_symbol(a, s * s, place) != 0:
-            problems.append("(a,s^2)")
-        tally.record(
-            not problems,
-            f"(a={a}, b={b}, c={c}, s={s}, v={place}): {', '.join(problems)}",
         )
     return tally.result()
 

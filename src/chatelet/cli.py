@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .checks import CheckReport, run_check
-from .factorint import FactorizationError
+from .factorint import FactorizationError, _echo
 from .globalchow import GlobalReport, global_chow
 from .local import ContradictionError, LocalReport, local_chow
 from .padic import REAL_PLACE, Place, hilbert_symbol, require_prime_place
@@ -28,15 +28,6 @@ EXIT_FACTORIZATION = 3
 EXIT_CONTRADICTION = 4
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[+-]?\d+)?")
-# An argument is echoed in an error message up to this many characters.
-_ECHO_LIMIT = 80
-
-
-def _echo(text: str) -> str:
-    """text quoted for an error message, cut to _ECHO_LIMIT characters."""
-    if len(text) <= _ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -73,13 +64,11 @@ def parse_place(text: str) -> Place:
     if s == REAL_PLACE:
         return REAL_PLACE
     try:
-        p = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"place must be a prime number or 'real', got {_echo(text)}"
-        ) from None
+        place = int(s)
+    except ValueError:  # not an int: refused as a composite is
+        place = text
     try:
-        return require_prime_place(p)
+        return require_prime_place(place)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

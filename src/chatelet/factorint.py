@@ -4,6 +4,7 @@ certifier for every factor."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Dict, List, Optional
@@ -43,6 +44,25 @@ _MILLER_RABIN_WITNESSES = (
 )
 # A number sharing a factor with this product is prime only if it is a base.
 _WITNESS_PRODUCT = prod(_MILLER_RABIN_WITNESSES[-1][1])
+
+
+def _echo(value: object) -> str:
+    """value as every refusal of the package names it.
+
+    An int is its decimal digits where they are at most 80 characters,
+    -10^79 < n < 10^80, else "an int of N bits": its decimal string costs
+    time quadratic in its width, and past 4300 digits Python refuses to make
+    it.  A Fraction is num/den, or num when den is 1, each part an int as
+    above, so a short one reads as str shows it.  A str is its repr, cut to
+    its first 80 characters and its length past that.  Anything else is its
+    repr."""
+    if isinstance(value, int) and not -(10**79) < value < 10**80:
+        return f"an int of {value.bit_length()} bits"
+    if isinstance(value, Fraction):
+        return "/".join(map(_echo, value.as_integer_ratio())).removesuffix("/1")
+    if isinstance(value, str) and len(value) > 80:
+        return f"{value[:80]!r}... ({len(value)} characters)"
+    return repr(value)
 
 
 class FactorizationError(RuntimeError):
@@ -88,7 +108,7 @@ def is_prime(n: int) -> bool:
             return False
     if n >= _PSI_13:
         raise FactorizationError(
-            f"{n} exceeds the deterministic Miller-Rabin witness limit", n
+            f"{_echo(n)} exceeds the deterministic Miller-Rabin witness limit", n
         )
     return True
 
@@ -165,7 +185,7 @@ def factorize(n: int, budget: Optional[RhoBudget] = None) -> Dict[int, int]:
         divisor = _rho_divisor(m, budget)
         if not divisor:
             raise FactorizationError(
-                f"Pollard rho could not split the composite cofactor {m} "
+                f"Pollard rho could not split the composite cofactor {_echo(m)} "
                 "within its work budget",
                 m,
             )

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import filterfalse
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .factorint import FactorizationError, RhoBudget, factorize, primes_below
+from .factorint import FactorizationError, RhoBudget, _echo, factorize, primes_below
 from .gf2 import gf2_rank
 from .local import (
     ContradictionError,
@@ -161,7 +161,7 @@ def global_chow(
     if not isinstance(sample_primes, int) or type(sample_primes) is bool:
         raise TypeError(f"sample_primes must be an int, got {type(sample_primes).__name__}")
     if sample_primes < 0:
-        raise ValueError(f"sample_primes must be >= 0, got {sample_primes}")
+        raise ValueError(f"sample_primes must be >= 0, got {_echo(sample_primes)}")
     places = candidate_places(d, c1, c2, c3)
     roots = (c1, c2, c3)
     if not places:  # d is a square in Q: every completion splits

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from .factorint import _echo
 from .gf2 import member, reduce_rows
 from .norms import (
     _SPLIT,
@@ -80,7 +81,8 @@ def _triple_bits(t: Triple) -> int:
     a, b, c = t
     # a bool or a float equal to 0 or 1 passes the set test, so types first
     if not (type(a) is type(b) is type(c) is int and {a, b, c} <= {0, 1}):
-        raise ValueError(f"a triple has entries 0 or 1, got {t}")
+        listed = ", ".join(map(_echo, (a, b, c)))
+        raise ValueError(f"a triple has entries 0 or 1, got ({listed})")
     return a << 2 | b << 1 | c
 
 
@@ -218,7 +220,7 @@ def _distinct_roots(c1: Rational, c2: Rational, c3: Rational) -> Tuple[Rational,
     # comparing it skips the numbers.Rational check of Fraction.__eq__, at half
     # the cost
     if len({a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()}) < 3:
-        listed = ", ".join(str(c) for c in roots)
+        listed = ", ".join(map(_echo, roots))
         raise DegenerateSurfaceError(f"roots must be pairwise distinct, got ({listed})")
     return roots
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Tuple, Union
 
-from .factorint import _PSI_13, is_prime
+from .factorint import _PSI_13, _echo, is_prime
 
 Rational = Union[int, Fraction]
 
@@ -37,9 +37,6 @@ __all__ = [
 
 # Exhaustive search in hilbert_oracle refuses beyond this modulus.
 _ORACLE_MODULUS_CAP = 2_000_000
-# A refused int is echoed by its repr where that has at most 80 characters,
-# which is where -10^79 < p < 10^80.
-_ECHO_BOUND = 10**80
 
 
 class PrecisionError(ValueError):
@@ -55,14 +52,10 @@ def _require_prime(p: object, refusal: str) -> int:
     FactorizationError, as no proven witness set certifies it.  So a p past
     psi_13 is refused by its size, before any Miller-Rabin round.  The type
     is checked before the cached primality test, so an unhashable p raises
-    ValueError too.  An int too wide to echo is named by its bit length,
-    since its decimal string costs time quadratic in its width and past 4300
-    digits Python refuses to make it."""
+    ValueError too."""
     if isinstance(p, int) and 2 <= p < _PSI_13 and is_prime(p):
         return p
-    if isinstance(p, int) and not -_ECHO_BOUND // 10 < p < _ECHO_BOUND:
-        raise ValueError(f"{refusal}, got an int of {p.bit_length()} bits")
-    raise ValueError(f"{refusal}, got {p!r}")
+    raise ValueError(f"{refusal}, got {_echo(p)}")
 
 
 def require_prime_place(place: Place) -> int:
@@ -94,7 +87,7 @@ def _require_base(p: int) -> None:
     """O(1) guard for valuation and unit_residue, whose division loops never
     end for p = 1 or -1; full primality stays with require_prime_place."""
     if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p must be an int >= 2, got {p!r}")
+        raise ValueError(f"p must be an int >= 2, got {_echo(p)}")
 
 
 def _valuation_and_unit(n: int, p: int) -> Tuple[int, int]:
@@ -160,7 +153,7 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol of a mod p in F2 form: 0 for a square, 1 for a non-square.
     p must be an odd prime that is_prime can certify."""
     if p == 2:
-        raise ValueError(f"legendre needs an odd prime, got {p!r}")
+        raise ValueError(f"legendre needs an odd prime, got {_echo(p)}")
     _require_prime(p, "legendre needs an odd prime")
     if a % p == 0:
         raise ValueError("legendre is undefined for a divisible by p")

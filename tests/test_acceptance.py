@@ -12,7 +12,6 @@ from chatelet import (
     check_reciprocity,
     check_root_scaling,
     check_square_scaling,
-    check_symbol_identities,
     check_symbol_oracle,
     conductor_n,
     global_chow,
@@ -117,8 +116,8 @@ def test_criterion_6_symbol_fuzz():
     def body():
         oracle = check_symbol_oracle(random.Random(601), 500)
         assert oracle.runs >= 500 and oracle.failed == 0, oracle
-        identities = check_symbol_identities(random.Random(602), 1000)
-        assert identities.runs >= 1000 and identities.failed == 0, identities
+        # symmetry, bilinearity, (a, -a) = 0 and (a, s^2) = 0 are the
+        # Hypothesis properties of test_padic.TestHilbertSymbolProperties
         reciprocity = check_reciprocity(random.Random(603), 200)
         assert reciprocity.runs >= 200 and reciprocity.failed == 0, reciprocity
 

@@ -12,7 +12,6 @@ from chatelet import (
     check_root_scaling,
     check_sampled_membership,
     check_square_scaling,
-    check_symbol_identities,
     check_symbol_oracle,
     random_surface,
     run_check,
@@ -23,13 +22,6 @@ from flat_sweep import oracle_mismatches
 def test_symbol_oracle_500():
     result = check_symbol_oracle(random.Random(11), 500)
     assert result.runs == 500
-    assert result.failed == 0
-    assert result.failures == ()
-
-
-def test_symbol_identities_1000():
-    result = check_symbol_identities(random.Random(12), 1000)
-    assert result.runs == 1000
     assert result.failed == 0
     assert result.failures == ()
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import chatelet.cli
+import chatelet.factorint
 from chatelet import ContradictionError
 from chatelet.checks import CheckReport, SuiteResult
 from chatelet.cli import (
@@ -23,6 +24,7 @@ from chatelet.cli import (
     parse_rational,
     parse_roots,
 )
+from guards import wall_clock_guard
 
 # a prime past psi_13, the Miller-Rabin witness limit: it cannot be certified
 UNCERTIFIABLE_PRIME = "10000000000000000000000013"
@@ -268,6 +270,21 @@ class TestGlobalCommand:
         argv = shlex.split(line)
         assert argv[0] == "chatelet"
         assert main(argv[1:]) == EXIT_FACTORIZATION
+
+    def test_factorization_exit_names_a_wide_cofactor(self, monkeypatch, capsys):
+        # 5^6000 3^8800 - 7^5000 2^14000 leaves a 27971-bit cofactor past
+        # trial division; is_prime answers False past 10^100 at once, which
+        # skips a base-2 Miller-Rabin round of tens of seconds at that
+        # width, and rho gives up on it within its budget
+        is_prime = chatelet.factorint.is_prime
+        monkeypatch.setattr(
+            chatelet.factorint, "is_prime", lambda n: n < 10**100 and is_prime(n)
+        )
+        roots = f"0,{5**6000}/{2**14000},{7**5000}/{3**8800}"
+        with wall_clock_guard(5):
+            code = main(["global", "--d", "-1", "--roots", roots])
+        assert code == EXIT_FACTORIZATION
+        assert "composite cofactor an int of 27971 bits within" in capsys.readouterr().err
 
     def test_seeded_sampling_is_deterministic(self, capsys):
         main(["global", "--d", "-1", "--roots", "0,1,2", "--format", "json"])

@@ -1,11 +1,12 @@
 """Primality certification and factoring."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from chatelet import FactorizationError, factorize, is_prime
-from chatelet.factorint import RhoBudget, _rho_divisor, primes_below
+from chatelet.factorint import RhoBudget, _echo, _rho_divisor, primes_below
 from guards import wall_clock_guard
 
 # psi_12: the least strong pseudoprime to the twelve prime bases 2, ..., 37
@@ -214,3 +215,26 @@ class TestFactorize:
     def test_refuses_an_uncertifiable_cofactor(self):
         with pytest.raises(FactorizationError, match="witness limit"):
             factorize(2**10 * 10000000000000000000000013)
+
+
+class TestEcho:
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (10**80 - 1, "9" * 80),
+            (-(10**79) + 1, "-" + "9" * 79),
+            (10**80, "an int of 266 bits"),
+            (-(10**79), "an int of 263 bits"),
+            (Fraction(-3, 20), "-3/20"),
+            (Fraction(7), "7"),
+            (Fraction(1, 10**5000), "1/an int of 16610 bits"),
+            ("x" * 80, repr("x" * 80)),
+            ("x" * 5001, repr("x" * 80) + "... (5001 characters)"),
+            (2.0, "2.0"),
+            ([3], "[3]"),
+            (True, "True"),
+        ],
+    )
+    def test_short_form(self, value, text):
+        # every refusal names the value it was given this way
+        assert _echo(value) == text

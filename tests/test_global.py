@@ -25,7 +25,10 @@ from chatelet import (
     global_chow,
     kernel_dimension,
     local_chow,
+    normalize_roots,
     reciprocity_check,
+    unit_residue,
+    valuation,
 )
 from chatelet.cli import EXIT_OK, main
 from guards import wall_clock_guard
@@ -508,3 +511,25 @@ class TestReciprocity:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             reciprocity_check(0, 5)
+
+
+class TestWideRefusals:
+    def test_wide_values_are_named_by_their_bits(self):
+        # 10^5000 has no decimal string at Python's default 4300-digit limit,
+        # so each refusal names it by its bit length, with its own type
+        wide = 10**5000
+        calls = [
+            (ValueError, lambda: valuation(3, -wide)),
+            (ValueError, lambda: unit_residue(3, -wide, 1)),
+            (DegenerateSurfaceError, lambda: local_chow(-1, wide, wide, 1, 3)),
+            (DegenerateSurfaceError, lambda: normalize_roots(wide, wide, 1, 3)),
+            (DegenerateSurfaceError, lambda: candidate_places(-1, wide, wide, 1)),
+            (ValueError, lambda: Subgroup3(((wide, 0, 0),))),
+            (ValueError, lambda: Subgroup3.span([(0, wide, 1)])),
+            (ValueError, lambda: global_chow(-1, 0, 1, 2, sample_primes=-wide)),
+        ]
+        with wall_clock_guard(1):
+            for error, call in calls:
+                with pytest.raises(error, match="an int of 16610 bits") as refusal:
+                    call()
+                assert type(refusal.value) is error

@@ -172,6 +172,7 @@ class TestLegendre:
     @pytest.mark.parametrize(
         "a,p,match",
         [
+            (3, 2, "odd prime"),
             (3, 4, "odd prime"),
             (6, 3, "divisible"),
             # an odd modulus that is not a prime is refused as a place is
