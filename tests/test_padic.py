@@ -172,7 +172,6 @@ class TestLegendre:
     @pytest.mark.parametrize(
         "a,p,match",
         [
-            (3, 2, "odd prime"),
             (3, 4, "odd prime"),
             (6, 3, "divisible"),
             # an odd modulus that is not a prime is refused as a place is
@@ -183,6 +182,7 @@ class TestLegendre:
             # legendre takes an odd prime only, so no refusal offers 'real'
             (2, REAL_PLACE, "odd prime"),
             (2, [3], "odd prime"),
+            (3, 2, "odd prime"),
         ],
     )
     def test_even_modulus_and_multiple_of_p_rejected(self, a, p, match):
