@@ -16,7 +16,6 @@ from .checks import (
     check_root_scaling,
     check_sampled_membership,
     check_square_scaling,
-    check_symbol_oracle,
     random_rational,
     random_surface,
     run_check,
@@ -55,14 +54,11 @@ from .norms import (
 from .padic import (
     REAL_PLACE,
     Place,
-    PrecisionError,
-    hilbert_oracle,
     hilbert_symbol,
     is_local_square,
     is_rational_square,
     legendre,
     require_prime_place,
-    unit_residue,
     valuation,
 )
 
@@ -79,7 +75,6 @@ __all__ = [
     "LocalReport",
     "NormalizedSurface",
     "Place",
-    "PrecisionError",
     "QuadExtClass",
     "REAL_PLACE",
     "ReciprocityReport",
@@ -95,14 +90,12 @@ __all__ = [
     "check_root_scaling",
     "check_sampled_membership",
     "check_square_scaling",
-    "check_symbol_oracle",
     "chi",
     "classify_case",
     "classify_extension",
     "conductor_n",
     "factorize",
     "global_chow",
-    "hilbert_oracle",
     "hilbert_symbol",
     "is_local_square",
     "is_prime",
@@ -118,6 +111,5 @@ __all__ = [
     "require_prime_place",
     "run_check",
     "special_fiber_images",
-    "unit_residue",
     "valuation",
 ]

@@ -29,8 +29,6 @@ from .norms import chi, classify_extension, norm_char_fn
 from .padic import (
     REAL_PLACE,
     Place,
-    hilbert_oracle,
-    hilbert_symbol,
     is_local_square,
     legendre,
     valuation,
@@ -46,7 +44,6 @@ __all__ = [
     "check_root_scaling",
     "check_sampled_membership",
     "check_square_scaling",
-    "check_symbol_oracle",
     "random_rational",
     "random_surface",
     "run_check",
@@ -279,36 +276,7 @@ def random_surface(
 
 
 # ---------------------------------------------------------------------------
-# symbol suites
-
-
-def _oracle_triple(rng: random.Random) -> Tuple[Fraction, Fraction, int]:
-    """A pair with valuations in [-3, 3] at a prime up to 13; the exhaustive
-    search modulus is at most 7^4 = 2401."""
-    p = rng.choice((2, 2, 2, 2, 3, 3, 3, 5, 5, 7, 11, 13))
-    others = tuple(q for q in _SMOOTH_PRIMES if q != p)
-
-    def part() -> Fraction:
-        unit = Fraction(rng.choice((1, -1)))
-        for q in rng.sample(others, 2):
-            unit *= Fraction(q) ** rng.randint(0, 2)
-        return unit * Fraction(p) ** rng.randint(-3, 3)
-
-    return part(), part(), p
-
-
-def check_symbol_oracle(rng: random.Random, count: int = 500) -> SuiteResult:
-    """Closed-formula symbol vs exhaustive solvability search."""
-    tally = _Tally("symbol-oracle")
-    for _ in range(count):
-        a, b, p = _oracle_triple(rng)
-        expected = hilbert_symbol(a, b, p)
-        got = hilbert_oracle(a, b, p)
-        tally.record(
-            got == expected,
-            f"(a={a}, b={b}, p={p}): formula {expected}, search {got}",
-        )
-    return tally.result()
+# symbol suite
 
 
 def check_reciprocity(rng: random.Random, count: int = 200) -> SuiteResult:

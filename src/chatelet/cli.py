@@ -89,10 +89,22 @@ def _join_signed_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
+def _parse_int(text: str) -> int:
+    """An int from its decimal string, as --seed takes it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most {sys.get_int_max_str_digits()} "
+            f"digits, got {_echo(text)}"
+        ) from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    """_parse_int for a count, which must be positive."""
+    value = _parse_int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {_echo(value)}")
     return value
 
 
@@ -313,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", parents=[common], help="run the seeded self-check suites"
     )
-    check.add_argument("--seed", type=int, default=0, help="fuzz seed")
+    check.add_argument("--seed", type=_parse_int, default=0, help="fuzz seed")
     check.add_argument(
         "--fuzz-count",
         type=_positive_int,

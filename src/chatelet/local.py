@@ -517,10 +517,23 @@ def _in_caller_coordinates(report: LocalReport, scale: int) -> LocalReport:
 
 def _repro_command(d: Rational, roots: Iterable[Rational], place: Optional[Place] = None) -> str:
     """The `chatelet local` command line that recomputes one local group, or
-    with no place the `chatelet global` one."""
-    listed = ",".join(map(str, roots))
-    args = f"--d={d} --roots={listed}"
-    return f"chatelet global {args}" if place is None else f"chatelet local {args} --p={place}"
+    with no place the `chatelet global` one.
+
+    A value past Python's limit for int strings has no decimal string, and
+    the CLI parsers refuse it anyway, so no line can repeat such a call: its
+    values are named by _echo, and the line says it is not a reproduction."""
+    texts, wide = [], False
+    for value in (d, *roots):
+        try:
+            texts.append(str(value))
+        except ValueError:
+            texts.append(_echo(value))
+            wide = True
+    args = f"--d={texts[0]} --roots={','.join(texts[1:])}"
+    line = f"chatelet global {args}" if place is None else f"chatelet local {args} --p={place}"
+    if wide:
+        line += " (not a reproduction: a value past Python's int-string limit is named in short)"
+    return line
 
 
 def local_chow(

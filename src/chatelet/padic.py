@@ -1,9 +1,7 @@
-"""Exact p-adic arithmetic over Q: valuations, unit residues, squares, Hilbert symbols.
+"""Exact p-adic arithmetic over Q: valuations, square classes, Hilbert symbols.
 
 Everything works on ints and `fractions.Fraction`; there is no floating point
 anywhere. F2 values are plain ints 0/1 (0 = trivial / is a norm).
-hilbert_oracle decides the Hilbert symbol again by exhaustive search, at the
-least precision that certifies its answer, as an independent reference.
 """
 
 from __future__ import annotations
@@ -23,24 +21,14 @@ Place = Union[int, str]
 __all__ = [
     "REAL_PLACE",
     "Place",
-    "PrecisionError",
     "Rational",
-    "hilbert_oracle",
     "hilbert_symbol",
     "is_local_square",
     "is_rational_square",
     "legendre",
     "require_prime_place",
-    "unit_residue",
     "valuation",
 ]
-
-# Exhaustive search in hilbert_oracle refuses beyond this modulus.
-_ORACLE_MODULUS_CAP = 2_000_000
-
-
-class PrecisionError(ValueError):
-    """The exhaustive search of hilbert_oracle needs a modulus past its cap."""
 
 
 def _require_prime(p: object, refusal: str) -> int:
@@ -84,8 +72,9 @@ def _nonzero(r: Rational, message: str) -> Rational:
 
 
 def _require_base(p: int) -> None:
-    """O(1) guard for valuation and unit_residue, whose division loops never
-    end for p = 1 or -1; full primality stays with require_prime_place."""
+    """O(1) guard for valuation, whose division loops never end for p = 1
+    or -1, and for the unit residue of the test oracle in
+    tests/symbol_oracle.py; full primality stays with require_prime_place."""
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be an int >= 2, got {_echo(p)}")
 
@@ -135,18 +124,6 @@ def _valuation(r: Rational, p: int) -> int:
     v = _valuation_and_unit(r.numerator, p)[0]
     den = r.denominator
     return v if den == 1 else v - _valuation_and_unit(den, p)[0]
-
-
-def unit_residue(r: Rational, p: int, precision: int) -> int:
-    """The unit part r / p^v(r) reduced mod p**precision (in [1, p**precision))."""
-    _require_base(p)
-    r = _nonzero(r, "the unit residue of zero is undefined")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    num = _valuation_and_unit(r.numerator, p)[1]
-    den = _valuation_and_unit(r.denominator, p)[1]
-    modulus = p**precision
-    return num * pow(den, -1, modulus) % modulus
 
 
 def legendre(a: int, p: int) -> int:
@@ -207,48 +184,3 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> int:
     eps_p = (p - 1) // 2 % 2
     return (alpha * beta * eps_p + beta * legendre(u, p) + alpha * legendre(w, p)) % 2
 
-
-def hilbert_oracle(a: Rational, b: Rational, p: int) -> int:
-    """Decide the Hilbert symbol by exhaustive search for z^2 = a x^2 + b y^2 mod p^k.
-
-    Independent of the closed formulas in hilbert_symbol.  Let v_a, v_b be
-    the valuations mod 2 and k the least precision with
-    p^k > 8 p^(2 max(v_a, v_b)), so k >= 2 v_a + 1, and k >= 2 v_a + 4 at
-    p = 2.  a enters as A = p^v_a (its unit mod p^(k - v_a)), in its square
-    class since a unit = 1 mod p^(k - v_a) is a square at this k; b as B
-    likewise.  The search is a membership test: one byte table marks the
-    squares mod p^k, another B times a square, and the answer is 0 when
-    1 - A x^2 is in the second for some x (class z = 1) or A + B y^2 is in
-    the first for some y (class x = 1).
-
-    Nothing is lost either way.  In either class a solution has a unit
-    coordinate w, z or x, whose term c w^2 has c = 1 or A, so
-    delta = v(2 c w) <= v(2) + v_a and k >= 2 delta + 1: by Hensel's lemma
-    every solution found mod p^k lifts to Q_p, and an answer 0 is right.  A
-    primitive solution over Z_p has z or x a unit, for were both in p Z_p,
-    y would be a unit and B y^2 = z^2 - A x^2 in p^2 Z_p, while v(B) <= 1.
-    Scaled by the inverse of that unit it lies in one of the two classes,
-    and its reduction mod p^k is found: an answer 1 is right too, and the
-    class y = 1 adds nothing.  Raises PrecisionError when p^k is past the
-    search cap.
-    """
-    p = _require_prime(p, "hilbert_oracle needs a prime")
-    va = valuation(a, p) % 2
-    vb = valuation(b, p) % 2
-    # the least k with p^k > 8 p^(2 max(v_a, v_b))
-    bound = 8 * p ** (2 * max(va, vb))
-    k, mod = 1, p
-    while mod <= bound:
-        k, mod = k + 1, mod * p
-    if mod > _ORACLE_MODULUS_CAP:
-        raise PrecisionError(f"search modulus {p}^{k} exceeds the exhaustive budget")
-    A = p**va * unit_residue(a, p, k - va)
-    B = p**vb * unit_residue(b, p, k - vb)
-    squares, b_squares = bytearray(mod), bytearray(mod)
-    for x in range(mod // 2 + 1):  # x and -x have one square
-        s = x * x % mod
-        squares[s] = b_squares[B * s % mod] = 1
-    for s in range(mod):
-        if squares[s] and (b_squares[(1 - A * s) % mod] or squares[(A + B * s) % mod]):
-            return 0
-    return 1

@@ -12,18 +12,15 @@ from chatelet import (
     check_root_scaling,
     check_sampled_membership,
     check_square_scaling,
-    check_symbol_oracle,
     random_surface,
     run_check,
 )
 from flat_sweep import oracle_mismatches
+from symbol_oracle import symbol_mismatches
 
 
 def test_symbol_oracle_500():
-    result = check_symbol_oracle(random.Random(11), 500)
-    assert result.runs == 500
-    assert result.failed == 0
-    assert result.failures == ()
+    assert symbol_mismatches(random.Random(11), 500) == []
 
 
 def test_reciprocity_200():

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -359,6 +360,28 @@ class TestCheckCommand:
         )
         monkeypatch.setattr(chatelet.cli, "run_check", lambda **kw: failing)
         assert main(["check", "--fuzz-count", "1"]) == EXIT_CONTRADICTION
+
+    @pytest.mark.parametrize(
+        "args,echo",
+        [
+            (["--seed", "1" * 5001], "(5001 characters)"),
+            (["--fuzz-count", "1" * 5001], "(5001 characters)"),
+            (["--seed", "abc"], "got 'abc'"),
+            (["--fuzz-count", "0"], "got 0"),
+        ],
+        ids=["seed-long", "fuzz-count-long", "seed-malformed", "fuzz-count-zero"],
+    )
+    def test_int_refusal_echoes_the_value_in_short(self, args, echo, capsys):
+        # a 5001-digit value is past Python's 4300-digit int-string limit:
+        # the refusal echoes it cut short, not whole, and names no private
+        # parser
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *args])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert echo in err
+        assert len(err.encode()) < 400
+        assert re.search(r"\b_[a-z]", err) is None, err
 
 
 class TestParserPlumbing:

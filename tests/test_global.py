@@ -27,11 +27,11 @@ from chatelet import (
     local_chow,
     normalize_roots,
     reciprocity_check,
-    unit_residue,
     valuation,
 )
 from chatelet.cli import EXIT_OK, main
 from guards import wall_clock_guard
+from symbol_oracle import unit_residue
 
 # a prime past psi_13, the Miller-Rabin witness limit: it cannot be certified
 UNCERTIFIABLE_PRIME = 10000000000000000000000013
@@ -514,9 +514,14 @@ class TestReciprocity:
 
 
 class TestWideRefusals:
-    def test_wide_values_are_named_by_their_bits(self):
+    def test_wide_values_are_named_by_their_bits(self, monkeypatch):
         # 10^5000 has no decimal string at Python's default 4300-digit limit,
-        # so each refusal names it by its bit length, with its own type
+        # so each refusal names it by its bit length, with its own type; a
+        # factoring refusal names it so in its reproduction line
+        def refuse(values):
+            raise FactorizationError("factoring refused", 0)
+
+        monkeypatch.setattr(chatelet.globalchow, "_places_of", refuse)
         wide = 10**5000
         calls = [
             (ValueError, lambda: valuation(3, -wide)),
@@ -527,6 +532,7 @@ class TestWideRefusals:
             (ValueError, lambda: Subgroup3(((wide, 0, 0),))),
             (ValueError, lambda: Subgroup3.span([(0, wide, 1)])),
             (ValueError, lambda: global_chow(-1, 0, 1, 2, sample_primes=-wide)),
+            (FactorizationError, lambda: global_chow(-1, 0, 1, wide)),
         ]
         with wall_clock_guard(1):
             for error, call in calls:
