@@ -21,14 +21,17 @@ from chatelet import (
     FactorizationError,
     Subgroup3,
     candidate_places,
+    characteristic_subgroup,
     classify_extension,
     global_chow,
     kernel_dimension,
     local_chow,
     normalize_roots,
+    random_surface,
     reciprocity_check,
     valuation,
 )
+from chatelet.checks import _ENUMERABLE_FAMILIES
 from chatelet.cli import EXIT_OK, main
 from guards import wall_clock_guard
 from symbol_oracle import unit_residue
@@ -355,6 +358,35 @@ class TestIntegerHandOff:
         generators = json.loads(capsys.readouterr().out)["result"]["generators"]
         real = [r for r in rep.local_reports if r.place == "real"][0]
         assert generators == [list(g) for g in real.subgroup.basis]
+
+
+class TestNoSubgroupPerPlace:
+    def test_places_build_no_subgroup(self, monkeypatch):
+        # a place returns one of the five constant subgroups of the sum-zero
+        # plane and builds none: at every checked and sampled place of the
+        # hand-off surfaces, whose roots are mapped back to Fractions, and
+        # in the enumerator on surfaces of every enumerable family
+        runs = [(d, roots, global_chow(d, *roots)) for d, roots in TestIntegerHandOff.SURFACES]
+        rng = random.Random(3333)
+        surfaces = [random_surface(rng, f, heavy=heavy)
+                    for heavy in (False, True) for f in _ENUMERABLE_FAMILIES for _ in range(4)]
+        built = [0]
+        init = Subgroup3.__init__
+
+        def counted(self, basis):
+            built[0] += 1
+            init(self, basis)
+
+        monkeypatch.setattr(Subgroup3, "__init__", counted)
+        for d, roots, rep in runs:
+            assert global_chow(d, *roots) == rep
+            for place in (*rep.checked_places, *rep.sampled_primes):
+                local_chow(d, *roots, place)
+        for d, roots, p in surfaces:
+            characteristic_subgroup(d, normalize_roots(*roots, p), p)
+        assert built[0] == 0
+        Subgroup3.span([(0, 1, 1)])
+        assert built[0] == 1
 
 
 class TestEveryPlaceRunsBothRoutes:

@@ -264,6 +264,49 @@ class TestCharacteristicSubgroup:
         for t in sub.elements():
             assert sum(t) % 2 == 0
 
+    def test_join_table_folds_as_span(self):
+        # every sequence of up to four triples of the sum-zero plane, folded
+        # from the trivial group through the join table, lands on the bitmask
+        # of the elements of its span, which names that span
+        plane = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+        sequences = [seq for n in range(5) for seq in itertools.product(plane, repeat=n)]
+        assert len(sequences) == 341
+        local = chatelet.local
+        for seq in sequences:
+            span = local._TRIVIAL_MASK
+            for a, b, g in seq:
+                span = local._JOIN[span][a << 2 | b << 1 | g]
+            expected = Subgroup3.span(seq)
+            assert span == sum(1 << (a << 2 | b << 1 | g) for a, b, g in expected.elements())
+            assert local._SUBGROUP_OF_MASK[span] == expected, seq
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations((1, 2, 3))))
+    def test_moved_line_table_moves_slot_by_slot(self, perm):
+        # slot i of a local triple is root perm[i]; a line moves, and the
+        # trivial group and the plane stay put
+        local = chatelet.local
+        for t in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+            moved = [0, 0, 0]
+            for slot in range(3):
+                moved[perm[slot] - 1] = t[slot]
+            line = Subgroup3.span([t])
+            assert local._MOVED_LINE[t, perm] == Subgroup3.span([tuple(moved)])
+            assert local._to_global(line, perm) is local._MOVED_LINE[t, perm]
+        plane = Subgroup3.span([(1, 0, 1), (0, 1, 1)])
+        assert local._to_global(plane, perm) == plane
+        assert local._to_global(TRIVIAL_SUBGROUP, perm) is TRIVIAL_SUBGROUP
+
+    def test_result_is_one_of_five_constants(self):
+        # the five subgroups of the sum-zero plane, made once at import
+        constants = list(chatelet.local._SUBGROUP_OF_MASK.values())
+        bases = [((0, 1, 1),), ((1, 0, 1),), ((1, 1, 0),), ((1, 0, 1), (0, 1, 1))]
+        assert constants[0] is TRIVIAL_SUBGROUP
+        assert [g.basis for g in constants[1:]] == bases
+        for heavy in (False, True):
+            for d, surf, p in _directed_surfaces(3232 + heavy, 6, heavy=heavy):
+                sub = characteristic_subgroup(d, surf, p)
+                assert any(sub is g for g in constants), (d, surf, p)
+
 
 class TestSubgroup3:
     def test_span_canonicalizes(self):
@@ -281,6 +324,20 @@ class TestSubgroup3:
     def test_trivial(self):
         assert TRIVIAL_SUBGROUP.order == 1
         assert TRIVIAL_SUBGROUP.elements() == [(0, 0, 0)]
+
+    def test_dependent_basis_rejected(self):
+        # unchecked, this basis of a group of two elements reported order 4
+        with pytest.raises(ValueError, match="independent"):
+            Subgroup3(((1, 0, 1), (1, 0, 1)))
+
+    @pytest.mark.parametrize("basis", [((1, 1, 0), (0, 1, 1)), ((0, 1, 1), (1, 0, 1))])
+    def test_unreduced_basis_rejected(self, basis):
+        # unchecked, each of these bases of the plane compared unequal to
+        # the plane that span gives
+        with pytest.raises(ValueError, match="independent"):
+            Subgroup3(basis)
+        plane = Subgroup3(((1, 0, 1), (0, 1, 1)))
+        assert plane == Subgroup3.span(basis) and plane.order == 4
 
     @pytest.mark.parametrize(
         "t", [(2, 0, 0), (1, 0, 3), (0, -1, 1), (True, 0, 1), (1.0, 0, 1), (0, 0.0, 0)]
