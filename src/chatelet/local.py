@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import lcm
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -140,52 +139,12 @@ TRIVIAL_SUBGROUP = Subgroup3(())
 _LINE_OF = {t: Subgroup3.span([t]) for t in ((0, 1, 1), (1, 0, 1), (1, 1, 0))}
 _PLANE = Subgroup3.span([(1, 0, 1), (0, 1, 1)])
 
-
-def _elements_mask(elements: Iterable[Triple]) -> int:
-    """A set of triples as a bitmask: bit t for the triple whose bits are t."""
-    return sum(1 << _triple_bits(t) for t in elements)
-
-
-def _join_mask(mask: int, t: int) -> int:
-    """The elements of the span of a subgroup's elements and the triple t,
-    both as bitmasks: the elements e and e + t."""
-    return mask | sum(1 << (e ^ t) for e in range(8) if mask >> e & 1)
-
-
-# The enumerator holds its span as the bitmask of its elements, one of the
-# five, and folds in a triple with bits t as _JOIN[span][t].  A t off the
-# plane joins to a mask that names none of the five, and the next lookup
-# raises KeyError.
-_SUBGROUP_OF_MASK = {
-    _elements_mask(g.elements()): g for g in (TRIVIAL_SUBGROUP, *_LINE_OF.values(), _PLANE)
-}
-_TRIVIAL_MASK = _elements_mask(TRIVIAL_SUBGROUP.elements())
-_PLANE_MASK = _elements_mask(_PLANE.elements())
-_JOIN = {mask: tuple(_join_mask(mask, t) for t in range(8)) for mask in _SUBGROUP_OF_MASK}
-
 # The subgroup that each predicted order fixes, in local slots, against which
 # local_chow checks the enumerated one.  The sum-zero plane has dimension 2,
 # so orders 1 and 4 fix the trivial group and the whole plane; order 2 fixes
 # the line <(0,1,1)>, for the reasons classify_case gives family by family.
 # Any other order is a contradiction in itself.
 _SUBGROUP_OF_ORDER = {1: TRIVIAL_SUBGROUP, 2: _LINE_OF[0, 1, 1], 4: _PLANE}
-
-
-def _slots_to_roots(t: Triple, perm: Tuple[int, int, int]) -> Triple:
-    """The triple t with slot i moved to root perm[i]."""
-    g = [0, 0, 0]
-    for slot, root in enumerate(perm):
-        g[root - 1] = t[slot]
-    return tuple(g)
-
-
-# _MOVED_LINE[t, perm]: the line <t> of the plane with its slots moved to
-# the roots by perm, for the three lines and the six permutations.
-_MOVED_LINE = {
-    (t, perm): _LINE_OF[_slots_to_roots(t, perm)]
-    for t in _LINE_OF
-    for perm in permutations((1, 2, 3))
-}
 
 
 @dataclass(frozen=True)
@@ -397,14 +356,12 @@ def characteristic_points(
     r += 2 * s
     big_d = surface.big_d + 2 * s
     last = big_d + m + 1
+    # Integers congruent to the scaled roots far beyond every sub-ball radius
+    # stand in for them: closeness and the characters see the same values.
+    modulus = p ** (last + 2 * m + 2)
     square = p ** (2 * s)
-    f1, f2 = e1 * square, e2 * square
-    if type(f1) is not int or type(f2) is not int:
-        # Integers congruent to the scaled roots far beyond every sub-ball
-        # radius stand in for them: closeness and the characters see the
-        # same values.  An int root is its own.
-        modulus = p ** (last + 2 * m + 2)
-        f1, f2 = _integral_residue(f1, modulus), _integral_residue(f2, modulus)
+    f1 = _integral_residue(e1 * square, modulus)
+    f2 = _integral_residue(e2 * square, modulus)
     roots = (0, f1, f2)
     # the p^m sub-balls of a rootless child x at level k are x + o p^(k+1)
     # for o in digits, in the order a walk that splits every ball evaluates
@@ -413,18 +370,14 @@ def characteristic_points(
     for j in range(m):
         digits = [o + i * p**j for o in digits for i in range(p)]
 
-    step = p ** (r - m)
     for k in range(r - m, last):
+        step = p**k
         child = p * step
         # the balls of level k, keyed by centre, each with the residues of its
         # root-holding children; the ball of 0 alone is dropped past r + m
         balls = {}
         for f in roots if k <= r + m else roots[1:]:
-            b = f % step
-            if b in balls:
-                balls[b].add(f % child)
-            else:
-                balls[b] = {f % child}
+            balls.setdefault(f % step, set()).add(f % child)
         for b, held in balls.items():
             patterns = 2 ** len(held) if reads_units else 1
             seen = set()
@@ -441,7 +394,6 @@ def characteristic_points(
                 # at m >= 1 (p = 2) this was the only rootless child
                 if len(seen) == patterns:
                     break
-        step = child
 
 
 def characteristic_subgroup(
@@ -452,22 +404,26 @@ def characteristic_subgroup(
 
     Seeds with the four degenerate fibers, which cover the far region and the
     dropped balls, then adds the triples of `characteristic_points`.  Every
-    triple lies in the sum-zero plane, so the span is one of its five
-    subgroups, held as the bitmask of its elements and joined by _JOIN, and
-    it is complete as soon as it is the whole plane.  The result is one of
-    the five module constants.
+    triple lies in the sum-zero plane, so any two distinct nonzero triples
+    span the whole plane: the span is the line of the first nonzero triple
+    until one differs from it, and complete then.  The result is one of the
+    five module constants.
     """
     fibers = special_fiber_images(d, surface, place)
-    # the fiber at infinity, fibers[0], maps to (0, 0, 0) and spans nothing
-    span = _TRIVIAL_MASK
-    for a, b, g in fibers[1:]:
-        span = _JOIN[span][a << 2 | b << 1 | g]
-    if span != _PLANE_MASK:
-        for _, (a, b, g) in characteristic_points(d, surface, place):
-            span = _JOIN[span][a << 2 | b << 1 | g]
-            if span == _PLANE_MASK:
-                break
-    return _SUBGROUP_OF_MASK[span]
+    # the fiber at infinity, fibers[0], maps to (0, 0, 0) and spans nothing;
+    # the walk starts only if the fibers leave the span short of the plane
+    first = None
+    for t in fibers[1:]:
+        if any(t) and t != first:
+            if first is not None:
+                return _PLANE
+            first = t
+    for _, t in characteristic_points(d, surface, place):
+        if any(t) and t != first:
+            if first is not None:
+                return _PLANE
+            first = t
+    return TRIVIAL_SUBGROUP if first is None else _LINE_OF[first]
 
 
 def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tuple[str, int]:
@@ -517,12 +473,16 @@ def classify_case(d: Rational, surface: NormalizedSurface, place: Place) -> Tupl
 
 
 def _to_global(subgroup: Subgroup3, perm: Tuple[int, int, int]) -> Subgroup3:
-    """The subgroup of the sum-zero plane with slot i moved to root perm[i].
-    Only a line moves, and _MOVED_LINE holds where: the trivial group and
-    the whole plane are fixed by every permutation."""
+    """The subgroup with slot i moved to root perm[i].  Only a line moves:
+    its one basis vector is its canonical basis in any coordinates, and a
+    plane is the whole sum-zero plane, which every permutation fixes."""
     if len(subgroup.basis) != 1:
         return subgroup
-    return _MOVED_LINE[subgroup.basis[0], perm]
+    (t,) = subgroup.basis
+    g = [0, 0, 0]
+    for slot, root in enumerate(perm):
+        g[root - 1] = t[slot]
+    return _LINE_OF[tuple(g)]
 
 
 def _integral_d(d: Rational) -> Rational:

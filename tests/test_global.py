@@ -167,6 +167,9 @@ class TestKernelDimension:
         assert kernel_dimension([sub, sub]) == 2
         assert kernel_dimension([sub, sub, sub]) == 4
 
+    # A basis with a zero or repeated vector never reaches kernel_dimension:
+    # the Subgroup3 constructor raises first, so these two pin that a
+    # subgroup handed to it has an independent basis.
     def test_zero_basis_vector_rejected(self):
         with pytest.raises(ValueError, match="independent"):
             kernel_dimension([Subgroup3(((0, 0, 0),))])

@@ -264,44 +264,54 @@ class TestCharacteristicSubgroup:
         for t in sub.elements():
             assert sum(t) % 2 == 0
 
-    def test_join_table_folds_as_span(self):
-        # every sequence of up to four triples of the sum-zero plane, folded
-        # from the trivial group through the join table, lands on the bitmask
-        # of the elements of its span, which names that span
+    @pytest.mark.parametrize("fed_by_fibers", [True, False])
+    def test_span_of_every_short_sequence(self, monkeypatch, fed_by_fibers):
+        # every sequence of up to four triples of the sum-zero plane, fed as
+        # the finite fibers' images or as the walk's points, spans what
+        # Subgroup3.span gives, returned as the very constant of that group
         plane = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
         sequences = [seq for n in range(5) for seq in itertools.product(plane, repeat=n)]
         assert len(sequences) == 341
-        local = chatelet.local
+        constants = _five_subgroups()
+        fed = []
+
+        def fibers(d, surface, place):
+            return ((0, 0, 0), *fed) if fed_by_fibers else ((0, 0, 0),)
+
+        def points(d, surface, place):
+            return ((0, t) for t in ([] if fed_by_fibers else fed))
+
+        monkeypatch.setattr(chatelet.local, "special_fiber_images", fibers)
+        monkeypatch.setattr(chatelet.local, "characteristic_points", points)
         for seq in sequences:
-            span = local._TRIVIAL_MASK
-            for a, b, g in seq:
-                span = local._JOIN[span][a << 2 | b << 1 | g]
+            fed[:] = seq
             expected = Subgroup3.span(seq)
-            assert span == sum(1 << (a << 2 | b << 1 | g) for a, b, g in expected.elements())
-            assert local._SUBGROUP_OF_MASK[span] == expected, seq
+            sub = characteristic_subgroup(-1, _surface(1, 2, 5), 5)
+            assert sub == expected and any(sub is g for g in constants), seq
 
     @pytest.mark.parametrize("perm", list(itertools.permutations((1, 2, 3))))
-    def test_moved_line_table_moves_slot_by_slot(self, perm):
-        # slot i of a local triple is root perm[i]; a line moves, and the
-        # trivial group and the plane stay put
-        local = chatelet.local
-        for t in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+    def test_to_global_moves_slot_by_slot(self, perm):
+        # slot i of a local triple is root perm[i]; a line moves to the
+        # constant of its image, and the trivial group and the plane stay put
+        lines = _five_subgroups()[1:4]
+        for line in lines:
+            (t,) = line.basis
             moved = [0, 0, 0]
             for slot in range(3):
                 moved[perm[slot] - 1] = t[slot]
-            line = Subgroup3.span([t])
-            assert local._MOVED_LINE[t, perm] == Subgroup3.span([tuple(moved)])
-            assert local._to_global(line, perm) is local._MOVED_LINE[t, perm]
-        plane = Subgroup3.span([(1, 0, 1), (0, 1, 1)])
-        assert local._to_global(plane, perm) == plane
-        assert local._to_global(TRIVIAL_SUBGROUP, perm) is TRIVIAL_SUBGROUP
+            image = chatelet.local._to_global(line, perm)
+            assert image == Subgroup3.span([tuple(moved)])
+            assert any(image is g for g in lines)
+        plane = _five_subgroups()[4]
+        assert chatelet.local._to_global(plane, perm) is plane
+        assert chatelet.local._to_global(TRIVIAL_SUBGROUP, perm) is TRIVIAL_SUBGROUP
 
     def test_result_is_one_of_five_constants(self):
         # the five subgroups of the sum-zero plane, made once at import
-        constants = list(chatelet.local._SUBGROUP_OF_MASK.values())
-        bases = [((0, 1, 1),), ((1, 0, 1),), ((1, 1, 0),), ((1, 0, 1), (0, 1, 1))]
+        constants = _five_subgroups()
+        bases = [(), ((0, 1, 1),), ((1, 0, 1),), ((1, 1, 0),), ((1, 0, 1), (0, 1, 1))]
         assert constants[0] is TRIVIAL_SUBGROUP
-        assert [g.basis for g in constants[1:]] == bases
+        assert [g.basis for g in constants] == bases
         for heavy in (False, True):
             for d, surf, p in _directed_surfaces(3232 + heavy, 6, heavy=heavy):
                 sub = characteristic_subgroup(d, surf, p)
@@ -541,6 +551,12 @@ class TestIntegerNormalForm:
             surf = normalize_roots(Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4), place)
             assert rep.normalized == surf
             assert (rep.normalized.r, rep.normalized.big_d) == (r, big_d)
+
+
+def _five_subgroups():
+    """The trivial group, the three lines and the plane, as local holds them."""
+    local = chatelet.local
+    return [TRIVIAL_SUBGROUP, *local._LINE_OF.values(), local._PLANE]
 
 
 def _directed_surfaces(seed, per_family, heavy=False, small=False):
