@@ -286,6 +286,30 @@ def _integral_residue(e: Rational, modulus: int) -> int:
     return e.numerator % modulus if den == 1 else e.numerator * pow(den, -1, modulus) % modulus
 
 
+# The digits o of the p^m sub-balls x + o p^(k+1) of a rootless child x at
+# level k, for m = 0, 1, 2, in the order a walk that splits every ball
+# evaluates them (the p^(k+m) digit fastest).  Only p = 2 has m >= 1, so
+# the digits past m = 0 are binary.
+_SUB_BALL_DIGITS = ((0,), (0, 1), (0, 2, 1, 3))
+
+
+def _integral_start(surface: NormalizedSurface, p: int, m: int) -> Tuple[NormalizedSurface, int]:
+    """The surface moved by x -> p^(2s) x, for the least s >= 0 with r + 2s
+    >= m, and p^(2s).  The move multiplies x by a square, so it changes no
+    character value and no triple, and it puts the walk's start ball
+    p^(r - m) Z_p inside Z_p.  On an integer surface (r >= 0) only the
+    ramified classes at 2, the ones with m >= 1, move."""
+    r = surface.r
+    if r >= m:
+        return surface, 1
+    s = (m - r + 1) // 2
+    square = p ** (2 * s)
+    moved = NormalizedSurface(
+        surface.e1 * square, surface.e2 * square, r + 2 * s, surface.big_d + 2 * s, surface.perm
+    )
+    return moved, square
+
+
 def characteristic_points(
     d: Rational, surface: NormalizedSurface, place: Place
 ) -> Iterator[Tuple[Rational, Triple]]:
@@ -295,7 +319,10 @@ def characteristic_points(
     The roots are read from the surface, which normalize_roots has checked:
     e1, e2, r = v(e1) = v(e2) and D = v(e1 - e2).  At a prime p the x-line is
     refined into balls b + p^k Z_p.  Let m be the conductor exponent of
-    Q_p(sqrt(d)), the radius of chi: chi(1 + t) = 0 whenever v(t) > m.
+    Q_p(sqrt(d)), the radius of chi: chi(1 + t) = 0 whenever v(t) > m.  The
+    walk runs on the surface that _integral_start moves to r >= m, where
+    every ball is integral, and yields each point in the given surface's
+    coordinates: an int where the surface did not move, else a Fraction.
 
     * Every x with v(x) < r - m has triple (c, c, c); an even sum forces
       (0, 0, 0), the fiber at infinity, so refinement starts at p^(r - m) Z_p.
@@ -303,12 +330,12 @@ def characteristic_points(
       both other roots e', has chi(x - e') = chi(e - e') throughout; an even
       sum then forces the special-fiber image of e, so it is dropped.  Hence
       the balls of level k are the classes mod p^k of the roots live there,
-      taken in the order of the least root index each holds (0, e1, e2):
-      0, e1 and e2 share one ball up to level r, 0 holds its ball alone
-      after r and is live up to r + m, and e1 and e2 share one ball up to
-      D, hold one each after it, and are live up to D + m, where the walk
-      ends.  Each level has at most three balls, and no evaluation goes
-      deeper than D + 2m + 1.
+      in root-index order (0, e1, e2), and they follow from r and D alone:
+      0, e1 and e2 share the ball of 0 up to level r; after r, 0 holds its
+      ball alone and is live up to r + m; e1 and e2 share one ball up to D,
+      hold one each after it, and are live up to D + m, where the walk ends.
+      Each level has at most three balls, and no evaluation goes deeper
+      than D + 2m + 1.
     * Each ball of level k is split into p children by one rule at every
       place: those that hold a root are balls of level k + 1 or dropped,
       and the rootless ones are resolved at level k, in ascending residue.
@@ -324,6 +351,18 @@ def characteristic_points(
       order and the scan stops once all of them have been seen.  At m >= 1,
       only at p = 2, a ball that holds a root has at most one rootless
       child, so the stop skips nothing there.
+    * The chain, the levels k with r + m < k < D - m, is periodic, so the
+      walk does not run through it.  There the ball of 0 has been dropped
+      and the one ball holds both e1 and e2, so a rootless child is x = e1
+      + p^k u for units u mod p^(m+1).  Then chi(x) = chi(e1), since
+      v(x / e1 - 1) = k - r > m, and chi(x - e2) = chi(p^k u), since
+      v((e1 - e2) / (p^k u)) = D - k > m.  chi is additive, so level k
+      yields the triples (chi(e1), t, t) with an even sum for t in
+      k chi(p) + chi(Z_p^x), a set that depends only on k mod 2.  The walk
+      takes the levels r - m through r + m + 2, which hold the first two
+      chain levels, and then max(r + m + 3, D - m) to the end: the same
+      triples, and no level more once D - r passes 2m + 3.  The range is
+      fixed once per call.
     * An unramified place evaluates one rootless child per split ball.  At
       ramified odd p the scan ends once every possible triple has shown
       up: by the Weil bound on sum_j leg(f(j)) that happens within p
@@ -335,9 +374,9 @@ def characteristic_points(
     {0, e1, e2}, evaluated on its double.
     """
     c = norm_char_fn(d, place)
-    e1, e2 = surface.e1, surface.e2
 
     if place == REAL_PLACE:
+        e1, e2 = surface.e1, surface.e2
         f1, f2 = 2 * e1, 2 * e2
         for x in _real_samples(e1, e2):
             t = (c(x), c(x - f1), c(x - f2))
@@ -349,48 +388,56 @@ def characteristic_points(
     ext = _nonsplit_class(d, p)
     m = ext.conductor_n
     reads_units = ext is not _UNRAMIFIED
-    r = surface.r
-    # x -> p^(2s) x multiplies by a square, so the triples do not change, and
-    # it makes the start ball p^(r - m) Z_p integral.
-    s = (m - r + 1) // 2 if r < m else 0
-    r += 2 * s
-    big_d = surface.big_d + 2 * s
-    last = big_d + m + 1
-    # Integers congruent to the scaled roots far beyond every sub-ball radius
-    # stand in for them: closeness and the characters see the same values.
-    modulus = p ** (last + 2 * m + 2)
-    square = p ** (2 * s)
-    f1 = _integral_residue(e1 * square, modulus)
-    f2 = _integral_residue(e2 * square, modulus)
-    roots = (0, f1, f2)
-    # the p^m sub-balls of a rootless child x at level k are x + o p^(k+1)
-    # for o in digits, in the order a walk that splits every ball evaluates
-    # them (the p^(k+m) digit fastest)
-    digits = [0]
-    for j in range(m):
-        digits = [o + i * p**j for o in digits for i in range(p)]
+    surface, square = _integral_start(surface, p, m)
+    r, big_d = surface.r, surface.big_d
+    last = big_d + m
+    # Integers congruent to the roots far beyond every sub-ball radius stand
+    # in for them: closeness and the characters see the same values.
+    modulus = p ** (last + 2 * m + 3)
+    f1 = _integral_residue(surface.e1, modulus)
+    f2 = _integral_residue(surface.e2, modulus)
+    digits = _SUB_BALL_DIGITS[m]
+    levels = range(r - m, last + 1)
+    if big_d - r > 2 * m + 3:
+        # past its first two levels, the chain repeats what they yield
+        levels = [*range(r - m, r + m + 3), *range(big_d - m, last + 1)]
 
-    for k in range(r - m, last):
+    for k in levels:
         step = p**k
         child = p * step
-        # the balls of level k, keyed by centre, each with the residues of its
-        # root-holding children; the ball of 0 alone is dropped past r + m
-        balls = {}
-        for f in roots if k <= r + m else roots[1:]:
-            balls.setdefault(f % step, set()).add(f % child)
-        for b, held in balls.items():
+        # the balls of level k in root-index order, each centre with the
+        # residues of its root-holding children
+        h1 = f1 % child
+        if k <= r:
+            # 0, e1 and e2 share the ball of 0; at k = r, e1 and e2 leave it
+            # for its child h1, or for two children if D = r
+            held = (0,) if k < r else (0, h1) if k < big_d else (0, h1, f2 % child)
+            balls = ((0, held),)
+        else:
+            # e1 and e2 share one ball up to D and hold one each after it,
+            # and 0 holds its ball alone up to r + m
+            if k < big_d:
+                balls = ((f1 % step, (h1,)),)
+            elif k == big_d:
+                balls = ((f1 % step, (h1, f2 % child)),)
+            else:
+                balls = ((f1 % step, (h1,)), (f2 % step, (f2 % child,)))
+            if k <= r + m:
+                balls = ((0, (0,)), *balls)
+        for b, held in balls:
             patterns = 2 ** len(held) if reads_units else 1
-            seen = set()
+            # at most eight triples, which a list tells apart faster than a set
+            seen = []
             for x in range(b, b + child, step):
                 if x in held:
                     continue
                 for o in digits:
                     y = x + o * child
-                    t = (c(y), c(y - f1), c(y - f2))
+                    a, g1, g2 = t = (c(y), c(y - f1), c(y - f2))
                     if t not in seen:
-                        seen.add(t)
-                        if sum(t) % 2 == 0:
-                            yield (y if s == 0 else Fraction(y, square)), t
+                        seen.append(t)
+                        if a == g1 ^ g2:
+                            yield (y if square == 1 else Fraction(y, square)), t
                 # at m >= 1 (p = 2) this was the only rootless child
                 if len(seen) == patterns:
                     break
@@ -403,23 +450,28 @@ def characteristic_subgroup(
     slot coordinates).
 
     Seeds with the four degenerate fibers, which cover the far region and the
-    dropped balls, then adds the triples of `characteristic_points`.  Every
-    triple lies in the sum-zero plane, so any two distinct nonzero triples
-    span the whole plane: the span is the line of the first nonzero triple
-    until one differs from it, and complete then.  The result is one of the
-    five module constants.
+    dropped balls, then adds the triples of `characteristic_points`, at p = 2
+    on the surface _integral_start moves: it has the same triples, and its
+    points are ints.  Every triple lies in the sum-zero plane, so any two
+    distinct nonzero triples span the whole plane: the span is the line of
+    the first nonzero triple until one differs from it, and complete then.
+    The result is one of the five module constants.
     """
     fibers = special_fiber_images(d, surface, place)
     # the fiber at infinity, fibers[0], maps to (0, 0, 0) and spans nothing;
     # the walk starts only if the fibers leave the span short of the plane
     first = None
     for t in fibers[1:]:
-        if any(t) and t != first:
+        if t != first and any(t):
             if first is not None:
                 return _PLANE
             first = t
+    if place == 2:
+        # only p = 2 has m >= 1, so an integer surface (r >= 0) moves there
+        # alone
+        surface = _integral_start(surface, 2, classify_extension(d, 2).conductor_n)[0]
     for _, t in characteristic_points(d, surface, place):
-        if any(t) and t != first:
+        if t != first and any(t):
             if first is not None:
                 return _PLANE
             first = t

@@ -141,12 +141,16 @@ def norm_char_fn(d: Rational, place: Place):
     p = place
     c = hilbert_symbol(d, p, p)
     if p == 2:
-        table = {u: hilbert_symbol(d, u, 2) for u in (1, 3, 5, 7)}
+        # chi(2^v u) = c v + chi(u) for u mod 8, held as one table for each
+        # parity of v; the entries at even u are never read
+        units = {u: hilbert_symbol(d, u, 2) for u in (1, 3, 5, 7)}
+        even = tuple(units.get(u, 0) for u in range(8))
+        tables = (even, tuple(x ^ c for x in even))
 
         def ev_dyadic(x) -> int:
             t = x if type(x) is int and x else _square_class_int(x)
             v = (t & -t).bit_length() - 1
-            return (c * v + table[(t >> v) & 7]) % 2
+            return tables[v & 1][(t >> v) & 7]
 
         return ev_dyadic
     half = (p - 1) // 2

@@ -11,6 +11,12 @@ the window and the residue precision; the span must not change with it.
 split ball refined into all p of its children, so that the rule picking the
 children can be compared against it.  Its cost is linear in p.
 
+`level_walk_points` and `level_walk_subgroup` are a third: the ball walk as it
+was before `chatelet.local.characteristic_points` read its levels from r and
+D and jumped the periodic chain.  It groups the roots live at each level by
+their residue into a dict of sets, and it walks every level from r - m to
+D + m, so its cost grows with D - r.
+
 `reference_normalize_roots` and `reference_special_fiber_images` are direct
 forms of `normalize_roots` and `special_fiber_images` in `chatelet.local`: a
 base-root loop that forms each difference and valuation anew, and the fiber
@@ -213,6 +219,53 @@ def all_children_points(
         raise ArithmeticError(f"{len(balls)} balls left unresolved at level {last}")
 
 
+def level_walk_points(
+    d: Rational, surface: NormalizedSurface, p: int
+) -> Iterator[Tuple[Rational, Triple]]:
+    """The level-by-level ball walk at a prime p: the balls of level k are
+    found by grouping the roots live there (0 up to level r + m, e1 and e2 to
+    the end) by their residue mod p^k, for every k from r - m to D + m."""
+    c = norm_char_fn(d, p)
+    ext = _nonsplit_class(d, p)
+    m = ext.conductor_n
+    reads_units = ext.kind is ExtKind.RAMIFIED
+    r = surface.r
+    s = (m - r + 1) // 2 if r < m else 0
+    r += 2 * s
+    big_d = surface.big_d + 2 * s
+    last = big_d + m + 1
+    modulus = p ** (last + 2 * m + 2)
+    square = p ** (2 * s)
+    f1 = _integral_residue(surface.e1 * square, modulus)
+    f2 = _integral_residue(surface.e2 * square, modulus)
+    roots = (0, f1, f2)
+    digits = [0]
+    for j in range(m):
+        digits = [o + i * p**j for o in digits for i in range(p)]
+
+    for k in range(r - m, last):
+        step = p**k
+        child = p * step
+        balls = {}
+        for f in roots if k <= r + m else roots[1:]:
+            balls.setdefault(f % step, set()).add(f % child)
+        for b, held in balls.items():
+            patterns = 2 ** len(held) if reads_units else 1
+            seen = set()
+            for x in range(b, b + child, step):
+                if x in held:
+                    continue
+                for o in digits:
+                    y = x + o * child
+                    t = (c(y), c(y - f1), c(y - f2))
+                    if t not in seen:
+                        seen.add(t)
+                        if sum(t) % 2 == 0:
+                            yield (y if s == 0 else Fraction(y, square)), t
+                if len(seen) == patterns:
+                    break
+
+
 def _span(d: Rational, surface: NormalizedSurface, place: Place, points) -> Subgroup3:
     """F2 span of the four degenerate fibers and the triples of `points`."""
     rows = reduce_rows(
@@ -239,6 +292,11 @@ def characteristic_subgroup(
 def all_children_subgroup(d: Rational, surface: NormalizedSurface, p: int) -> Subgroup3:
     """F2 span of the four degenerate fibers and every all-children triple."""
     return _span(d, surface, p, all_children_points(d, surface, p))
+
+
+def level_walk_subgroup(d: Rational, surface: NormalizedSurface, p: int) -> Subgroup3:
+    """F2 span of the four degenerate fibers and every level-walk triple."""
+    return _span(d, surface, p, level_walk_points(d, surface, p))
 
 
 def oracle_mismatches(rng: random.Random, count: int) -> List[str]:

@@ -832,6 +832,95 @@ class TestBallEnumerator:
             local_chow(d, *roots, p)
         assert (evaluations[0], points[0]) == (5256, 596)
 
+    @pytest.mark.parametrize("p", [q for q in range(2, 62) if all(q % t for t in range(2, q))])
+    def test_levels_match_the_level_walk(self, p):
+        # the levels read from r and D against the walk that groups the roots
+        # by residue at every level: the same points in the same order where
+        # the chain is too short to jump (D - r <= 2m + 3), and everywhere
+        # the same triples and the same span
+        rng = random.Random(p)
+        if p == 2:
+            classes = (-1, 3, 7, -5, 2, -2, 6, -6, 10, 5, -3)
+        else:
+            n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+            classes = (p, p * n, -p, n)
+        units = [u for u in range(1, 4 * p) if u % p]
+        for r in (0, 1, 2):
+            for gap in range(41):
+                if p == 2 and gap == 0:
+                    continue  # two units differ by an even number
+                for _ in range(2):
+                    d = rng.choice(classes)
+                    u, w = rng.choice(units), rng.choice(units)
+                    while gap == 0 and (u + w) % p == 0:
+                        w = rng.choice(units)
+                    surf = _surface(u * p**r, u * p**r + w * p ** (r + gap), p)
+                    assert (surf.r, surf.big_d) == (r, r + gap)
+                    walk = list(characteristic_points(d, surf, p))
+                    levels = list(flat_sweep.level_walk_points(d, surf, p))
+                    if gap <= 2 * classify_extension(d, p).conductor_n + 3:
+                        assert walk == levels, (d, surf, p)
+                    assert {t for _, t in walk} == {t for _, t in levels}, (d, surf, p)
+                    assert characteristic_subgroup(d, surf, p) == (
+                        flat_sweep.level_walk_subgroup(d, surf, p)
+                    ), (d, surf, p)
+
+    def test_span_builds_no_fraction_at_a_prime(self, monkeypatch):
+        # characteristic_subgroup walks the surface moved to r >= m, whose
+        # points are ints, so a dyadic surface with r < m no longer builds a
+        # Fraction for each point that the span then discards
+        built = [0]
+
+        def counted(*args):
+            built[0] += 1
+            return Fraction(*args)
+
+        monkeypatch.setattr(chatelet.local, "Fraction", counted)
+        moved = 0
+        for heavy in (False, True):
+            rng = random.Random(1717 + heavy)
+            for family in _ENUMERABLE_FAMILIES:
+                for _ in range(8):
+                    d, roots, p = random_surface(rng, family, heavy=heavy)
+                    if p not in (2, 3, 5):
+                        continue
+                    ints, _ = chatelet.local._integral_roots(roots)
+                    surf = normalize_roots(*ints, p)
+                    moved += surf.r < classify_extension(d, p).conductor_n
+                    characteristic_subgroup(d, surf, p)
+        assert moved > 0
+        assert built[0] == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_chain_work_is_independent_of_depth(self, p, monkeypatch):
+        # past the first two levels of the chain r + m < k < D - m the walk
+        # jumps to D - m, so a deeper congruence costs no chi evaluation more
+        evaluations = [0]
+        char_fn = chatelet.local.norm_char_fn
+
+        def counted(d, place):
+            ev = char_fn(d, place)
+
+            def count(x):
+                evaluations[0] += 1
+                return ev(x)
+
+            return count
+
+        monkeypatch.setattr(chatelet.local, "norm_char_fn", counted)
+        counts = []
+        for depth in (100, 1000, 10000):
+            evaluations[0] = 0
+            local_chow(p, 0, 1, 1 + p**depth, p)
+            counts.append(evaluations[0])
+        assert counts[0] == counts[1] == counts[2] > 0, counts
+
+    @pytest.mark.parametrize("p,label", [(2, "Prop3-i"), (3, "Prop2-i")])
+    def test_deep_chain_within_guard(self, p, label):
+        with wall_clock_guard(2):
+            rep = local_chow(p, 0, 1, 1 + p**100000, p)
+        assert (rep.case_label, rep.subgroup.basis) == (label, ((0, 1, 1),))
+
     def test_work_grows_linearly_with_root_congruence(self):
         # conductor-2 class, e2 = 1 + 2^k: the flat sweep grew as 2^k, and
         # each level past the first few adds at most two points
@@ -938,6 +1027,24 @@ def large_place_surfaces(draw):
     return d, (c1, c1 + a * q**i, c1 + b * q**j), q
 
 
+# classes of d that are not squares at p: ramified ones of both dyadic
+# conductors, and one unramified class at each p
+DEEP_CLASSES = {2: (-1, 3, 2, -6, 5), 3: (3, -6, 2), 5: (5, 10, 2), 7: (7, -21, 3)}
+
+
+@st.composite
+def deep_congruence_surfaces(draw):
+    """(d, roots, p): roots c, c + a p^i and c + a p^i + b p^D for units a,
+    b, i <= 3 and a depth D up to 10^4, the deep pair last."""
+    p = draw(st.sampled_from(sorted(DEEP_CLASSES)))
+    units = st.integers(-50, 50).filter(lambda u: u % p)
+    i = draw(st.integers(0, 3))
+    c = draw(st.integers(-50, 50))
+    near = c + draw(units) * p**i
+    deep = near + draw(units) * p ** draw(st.integers(i + 1, 10**4))
+    return draw(st.sampled_from(DEEP_CLASSES[p])), (c, near, deep), p
+
+
 def _local_within_second(d, roots, q):
     with wall_clock_guard(1):
         return local_chow(d, *roots, q)
@@ -949,9 +1056,14 @@ class TestLargePlaces:
         for e, q in zip((6, 12, 18), LARGE_PRIMES):
             assert not any(map(is_prime, range(10**e, q)))
 
-    @settings(max_examples=60, deadline=None)
-    @given(large_place_surfaces(), st.integers(-(10**30), 10**30))
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(large_place_surfaces(), deep_congruence_surfaces()),
+        st.integers(-(10**30), 10**30),
+    )
     def test_local_chow_is_equivariant(self, surface, shift):
+        # large places, and congruences up to 10^4 deep, whose chain the
+        # walk jumps in every root order
         d, roots, q = surface
         rep = _local_within_second(d, roots, q)
         assert rep.predicted_order == rep.subgroup.order
