@@ -49,13 +49,13 @@ from .norms import (
     chi,
     classify_extension,
     conductor_n,
+    is_local_square,
     norm_char_fn,
 )
 from .padic import (
     REAL_PLACE,
     Place,
     hilbert_symbol,
-    is_local_square,
     is_rational_square,
     legendre,
     require_prime_place,

@@ -11,28 +11,23 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from .factorint import _echo
 from .globalchow import reciprocity_check
 from .local import (
     ContradictionError,
+    LocalReport,
     NormalizedSurface,
     Subgroup3,
     characteristic_subgroup,
     local_chow,
     normalize_roots,
 )
-from .norms import chi, classify_extension, norm_char_fn
-from .padic import (
-    REAL_PLACE,
-    Place,
-    is_local_square,
-    legendre,
-    valuation,
-)
+from .norms import chi, classify_extension, is_local_square, norm_char_fn
+from .padic import REAL_PLACE, Place, legendre, valuation
 
 __all__ = [
     "CASE_FAMILIES",
@@ -93,24 +88,18 @@ class CheckReport:
         return all(suite.ok for suite in self.suites)
 
 
-class _Tally:
-    def __init__(self, name: str):
-        self.name = name
-        self.runs = 0
-        self.failed = 0
-        self.messages: List[str] = []
-
-    def record(self, ok: bool, message: str) -> None:
-        self.runs += 1
+def _result(name: str, records: Iterable[Tuple[bool, str]]) -> SuiteResult:
+    """A suite's result from its (ok, message) records, read as they are made:
+    one run each, and the messages of the first few failures."""
+    runs = failed = 0
+    messages: List[str] = []
+    for ok, message in records:
+        runs += 1
         if not ok:
-            self.failed += 1
-            if len(self.messages) < _MAX_STORED_FAILURES:
-                self.messages.append(message)
-
-    def result(self, details: Sequence[Tuple[str, int]] = ()) -> SuiteResult:
-        return SuiteResult(
-            self.name, self.runs, self.failed, tuple(self.messages), tuple(details)
-        )
+            failed += 1
+            if failed <= _MAX_STORED_FAILURES:
+                messages.append(message)
+    return SuiteResult(name, runs, failed, tuple(messages))
 
 
 def random_rational(rng: random.Random, max_exp: int = 2) -> Fraction:
@@ -281,15 +270,17 @@ def random_surface(
 
 def check_reciprocity(rng: random.Random, count: int = 200) -> SuiteResult:
     """Product formula: local symbols of a rational pair sum to zero."""
-    tally = _Tally("reciprocity")
-    for _ in range(count):
-        a = random_rational(rng)
-        b = random_rational(rng)
-        report = reciprocity_check(a, b)
-        tally.record(
-            report.ok, f"(a={a}, b={b}): local sum {report.total} from {report.symbols}"
-        )
-    return tally.result()
+
+    def records() -> Iterator[Tuple[bool, str]]:
+        for _ in range(count):
+            a = random_rational(rng)
+            b = random_rational(rng)
+            report = reciprocity_check(a, b)
+            yield report.ok, (
+                f"(a={a}, b={b}): local sum {report.total} from {report.symbols}"
+            )
+
+    return _result("reciprocity", records())
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +294,24 @@ def check_order_agreement(rng: random.Random, count: int = 200) -> SuiteResult:
     raises on any disagreement; this suite additionally verifies the directed
     constructions land in their intended family.
     """
-    tally = _Tally("order-agreement")
     bins: Counter = Counter()
-    for family in CASE_FAMILIES:
-        heavy_budget = max(1, count // 100) if family.startswith("Prop3") else 0
-        for i in range(count):
-            d, roots, place = random_surface(rng, family, heavy=i < heavy_budget)
-            where = f"{family} d={d} roots={roots} v={place}"
-            try:
-                report = local_chow(d, *roots, place)
-            except ContradictionError as exc:
-                tally.record(False, f"{where}: {exc}")
-                continue
-            bins[report.case_label] += 1
-            tally.record(
-                report.case_label == family,
-                f"{where}: landed in {report.case_label}",
-            )
-    return tally.result(details=sorted(bins.items()))
+
+    def records() -> Iterator[Tuple[bool, str]]:
+        for family in CASE_FAMILIES:
+            heavy_budget = max(1, count // 100) if family.startswith("Prop3") else 0
+            for i in range(count):
+                d, roots, place = random_surface(rng, family, heavy=i < heavy_budget)
+                where = f"{family} d={d} roots={roots} v={place}"
+                try:
+                    report = local_chow(d, *roots, place)
+                except ContradictionError as exc:
+                    yield False, f"{where}: {exc}"
+                    continue
+                bins[report.case_label] += 1
+                yield report.case_label == family, f"{where}: landed in {report.case_label}"
+
+    result = _result("order-agreement", records())
+    return replace(result, details=tuple(sorted(bins.items())))
 
 
 _ENUMERABLE_FAMILIES = tuple(f for f in CASE_FAMILIES if f.startswith("Prop"))
@@ -335,34 +326,47 @@ def check_sampled_membership(rng: random.Random, count: int = 200) -> SuiteResul
     and in the far region v(x) < r - m, which it never visits
     (r = v(e1) = v(e2), D = v(e1 - e2), m = conductor_n).
     """
-    tally = _Tally("sampled-membership")
+
+    def records() -> Iterator[Tuple[bool, str]]:
+        for i in range(count):
+            family = _ENUMERABLE_FAMILIES[i % len(_ENUMERABLE_FAMILIES)]
+            heavy = (i // len(_ENUMERABLE_FAMILIES)) % 2 == 1
+            d, roots, p = random_surface(rng, family, heavy=heavy)
+            surface = normalize_roots(*roots, p)
+            e1, e2, r = surface.e1, surface.e2, surface.r
+            ext = classify_extension(d, p)
+            enumerated = characteristic_subgroup(d, surface, p)
+            m = ext.conductor_n
+            deepest = surface.big_d + 2 * m + 3
+            samples = [_signed_unit(rng, p) * Fraction(p) ** j for j in range(r - m - 3, r - m)]
+            for e in (0, e1, e2):
+                for j in range(r - m, deepest + 1):
+                    samples.append(e + _signed_unit(rng, p) * Fraction(p) ** j)
+            c = norm_char_fn(d, p)
+            outside = []
+            for x in samples:
+                if x in (0, e1, e2):
+                    continue
+                t = (c(x), c(x - e1), c(x - e2))
+                if sum(t) % 2 == 0 and not enumerated.contains(t):
+                    outside.append((str(x), t))
+            yield not outside, (
+                f"{family} d={d} roots={roots} v={p}: {outside[:3]} outside {enumerated.basis}"
+            )
+
+    return _result("sampled-membership", records())
+
+
+def _small_draws(
+    rng: random.Random, count: int
+) -> Iterator[Tuple[str, Fraction, Tuple[Fraction, Fraction, Fraction], Place, LocalReport]]:
+    """(family, d, roots, place, report) for count small surfaces, the i-th of
+    family i mod 12, each with its local_chow report.  local_chow draws
+    nothing, so a suite's own draws for a surface follow that surface's."""
     for i in range(count):
-        family = _ENUMERABLE_FAMILIES[i % len(_ENUMERABLE_FAMILIES)]
-        heavy = (i // len(_ENUMERABLE_FAMILIES)) % 2 == 1
-        d, roots, p = random_surface(rng, family, heavy=heavy)
-        surface = normalize_roots(*roots, p)
-        e1, e2, r = surface.e1, surface.e2, surface.r
-        ext = classify_extension(d, p)
-        enumerated = characteristic_subgroup(d, surface, p)
-        m = ext.conductor_n
-        deepest = surface.big_d + 2 * m + 3
-        samples = [_signed_unit(rng, p) * Fraction(p) ** j for j in range(r - m - 3, r - m)]
-        for e in (0, e1, e2):
-            for j in range(r - m, deepest + 1):
-                samples.append(e + _signed_unit(rng, p) * Fraction(p) ** j)
-        c = norm_char_fn(d, p)
-        outside = []
-        for x in samples:
-            if x in (0, e1, e2):
-                continue
-            t = (c(x), c(x - e1), c(x - e2))
-            if sum(t) % 2 == 0 and not enumerated.contains(t):
-                outside.append((str(x), t))
-        tally.record(
-            not outside,
-            f"{family} d={d} roots={roots} v={p}: {outside[:3]} outside {enumerated.basis}",
-        )
-    return tally.result()
+        family = CASE_FAMILIES[i % len(CASE_FAMILIES)]
+        d, roots, place = random_surface(rng, family, small=True)
+        yield family, d, roots, place, local_chow(d, *roots, place)
 
 
 _PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -370,40 +374,34 @@ _PERMUTATIONS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0
 
 def check_equivariance(rng: random.Random, count: int = 200) -> SuiteResult:
     """Permuting the roots permutes the subgroup coordinates the same way."""
-    tally = _Tally("equivariance")
-    for i in range(count):
-        family = CASE_FAMILIES[i % len(CASE_FAMILIES)]
-        d, roots, place = random_surface(rng, family, small=True)
-        sigma = rng.choice(_PERMUTATIONS)
-        permuted = tuple(roots[s] for s in sigma)
-        base = local_chow(d, *roots, place)
-        moved = local_chow(d, *permuted, place)
-        # position i of the permuted call holds original root sigma[i]
-        mapped = Subgroup3.span(
-            tuple(g[sigma[i]] for i in range(3)) for g in base.subgroup.basis
-        )
-        tally.record(
-            moved.subgroup == mapped and moved.case_label == base.case_label,
-            f"{family} d={d} roots={roots} sigma={sigma} v={place}: "
-            f"{moved.subgroup.basis} expected {mapped.basis}",
-        )
-    return tally.result()
+
+    def records() -> Iterator[Tuple[bool, str]]:
+        for family, d, roots, place, base in _small_draws(rng, count):
+            sigma = rng.choice(_PERMUTATIONS)
+            permuted = tuple(roots[s] for s in sigma)
+            moved = local_chow(d, *permuted, place)
+            # position i of the permuted call holds original root sigma[i]
+            mapped = Subgroup3.span(
+                tuple(g[sigma[i]] for i in range(3)) for g in base.subgroup.basis
+            )
+            yield moved.subgroup == mapped and moved.case_label == base.case_label, (
+                f"{family} d={d} roots={roots} sigma={sigma} v={place}: "
+                f"{moved.subgroup.basis} expected {mapped.basis}"
+            )
+
+    return _result("equivariance", records())
 
 
 def check_square_scaling(rng: random.Random, count: int = 200) -> SuiteResult:
     """Multiplying d by a nonzero rational square changes nothing."""
-    tally = _Tally("square-scaling")
-    for i in range(count):
-        family = CASE_FAMILIES[i % len(CASE_FAMILIES)]
-        d, roots, place = random_surface(rng, family, small=True)
-        s = random_rational(rng, 1)
-        base = local_chow(d, *roots, place)
-        scaled = local_chow(d * s * s, *roots, place)
-        tally.record(
-            scaled == base,
-            f"{family} d={d} s={s} roots={roots} v={place}: reports differ",
-        )
-    return tally.result()
+
+    def records() -> Iterator[Tuple[bool, str]]:
+        for family, d, roots, place, base in _small_draws(rng, count):
+            s = random_rational(rng, 1)
+            scaled = local_chow(d * s * s, *roots, place)
+            yield scaled == base, f"{family} d={d} s={s} roots={roots} v={place}: reports differ"
+
+    return _result("square-scaling", records())
 
 
 def check_root_scaling(rng: random.Random, count: int = 200) -> SuiteResult:
@@ -413,32 +411,32 @@ def check_root_scaling(rng: random.Random, count: int = 200) -> SuiteResult:
 
     This is the premise of the integer normal form that local_chow and
     global_chow run on."""
-    tally = _Tally("root-scaling")
-    for i in range(count):
-        family = CASE_FAMILIES[i % len(CASE_FAMILIES)]
-        d, roots, place = random_surface(rng, family, small=True)
-        s = random_rational(rng, 1)
-        t = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
-        base = local_chow(d, *roots, place)
-        moved = local_chow(d, *(s * s * c + t for c in roots), place)
-        expected = base.normalized
-        if expected is not None:
-            shift = 0 if place == REAL_PLACE else 2 * valuation(s, place)
-            expected = NormalizedSurface(
-                s * s * expected.e1,
-                s * s * expected.e2,
-                expected.r + shift,
-                expected.big_d + shift,
-                expected.perm,
+
+    def records() -> Iterator[Tuple[bool, str]]:
+        for family, d, roots, place, base in _small_draws(rng, count):
+            s = random_rational(rng, 1)
+            t = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+            moved = local_chow(d, *(s * s * c + t for c in roots), place)
+            expected = base.normalized
+            if expected is not None:
+                shift = 0 if place == REAL_PLACE else 2 * valuation(s, place)
+                expected = NormalizedSurface(
+                    s * s * expected.e1,
+                    s * s * expected.e2,
+                    expected.r + shift,
+                    expected.big_d + shift,
+                    expected.perm,
+                )
+            yield (
+                (moved.case_label, moved.predicted_order, moved.subgroup, moved.normalized)
+                == (base.case_label, base.predicted_order, base.subgroup, expected)
+            ), (
+                f"{family} d={d} roots={roots} s={s} t={t} v={place}: "
+                f"{moved.case_label} {moved.subgroup.basis} {moved.normalized}, expected "
+                f"{base.case_label} {base.subgroup.basis} {expected}"
             )
-        tally.record(
-            (moved.case_label, moved.predicted_order, moved.subgroup, moved.normalized)
-            == (base.case_label, base.predicted_order, base.subgroup, expected),
-            f"{family} d={d} roots={roots} s={s} t={t} v={place}: "
-            f"{moved.case_label} {moved.subgroup.basis} {moved.normalized}, expected "
-            f"{base.case_label} {base.subgroup.basis} {expected}",
-        )
-    return tally.result()
+
+    return _result("root-scaling", records())
 
 
 _CLI_SUITES: Tuple[Tuple[str, Callable[[random.Random, int], SuiteResult]], ...] = (

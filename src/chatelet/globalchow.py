@@ -17,7 +17,6 @@ from .local import (
     TRIVIAL_SUBGROUP,
     _distinct_roots,
     _in_caller_coordinates,
-    _integral_d,
     _integral_roots,
     _repro_command,
     _triple_bits,
@@ -28,6 +27,7 @@ from .padic import (
     Place,
     Rational,
     _nonzero,
+    _square_class_int,
     hilbert_symbol,
     is_rational_square,
 )
@@ -165,7 +165,7 @@ def global_chow(
     if not places:  # d is a square in Q: every completion splits
         return GlobalReport(d, roots, 0, (), (), ())
 
-    d0 = _integral_d(d)
+    d0 = _square_class_int(d)
     (n1, n2, n3), scale = _integral_roots(roots)
     reports = [local_chow(d0, n1, n2, n3, place) for place in places]
     nontrivial = [_in_caller_coordinates(rep, scale) for rep in reports if rep.subgroup.basis]

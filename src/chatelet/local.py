@@ -29,6 +29,7 @@ from .padic import (
     Place,
     Rational,
     _as_rational,
+    _square_class_int,
     _valuation,
     _valuation_and_unit,
     require_prime_place,
@@ -537,15 +538,6 @@ def _to_global(subgroup: Subgroup3, perm: Tuple[int, int, int]) -> Subgroup3:
     return _LINE_OF[tuple(g)]
 
 
-def _integral_d(d: Rational) -> Rational:
-    """d * den(d)^2, an int in the square class of d.  Anything but a
-    Fraction is returned as it is, for classify_extension to check.  An int
-    is tested first: isinstance(int, Fraction) goes through the ABC check."""
-    if isinstance(d, int):
-        return d
-    return d.numerator * d.denominator if isinstance(d, Fraction) else d
-
-
 def _integral_roots(roots: Tuple[Rational, ...]) -> Tuple[Tuple[int, ...], int]:
     """The roots L^2 c_i, all ints, and L, the lcm of the denominators of the
     c_i.  x -> L^2 x multiplies the cubic by the square L^6, so with d in
@@ -623,7 +615,7 @@ def local_chow(
     The routes must agree on the subgroup, not only on its order: the
     enumerated one must be the subgroup that the predicted order fixes (see
     _SUBGROUP_OF_ORDER), or a ContradictionError names both."""
-    d0 = _integral_d(d)
+    d0 = _square_class_int(d)
     ext = classify_extension(d0, place)  # checks the place, then d
     roots = _distinct_roots(c1, c2, c3)
     if ext is _SPLIT:

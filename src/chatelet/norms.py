@@ -16,9 +16,9 @@ from .padic import (
     REAL_PLACE,
     Place,
     Rational,
-    _as_rational,
     _nonzero,
     _square_class,
+    _square_class_int,
     _valuation_and_unit,
     hilbert_symbol,
     legendre,
@@ -31,6 +31,7 @@ __all__ = [
     "chi",
     "classify_extension",
     "conductor_n",
+    "is_local_square",
     "norm_char_fn",
 ]
 
@@ -54,14 +55,7 @@ class QuadExtClass:
     conductor_n: int = 0
 
 
-def _square_class_int(x: Rational) -> int:
-    """x itself, or numerator * denominator, which differs from x by the
-    square denominator^2: a nonzero int in the square class of x."""
-    t = x if type(x) is int else _as_rational(x).numerator * x.denominator
-    if not t:
-        raise ValueError("chi is undefined at zero")
-    return t
-
+_AT_ZERO = "chi is undefined at zero"
 
 # The classes classify_extension returns, shared by every call.
 _SPLIT = QuadExtClass(ExtKind.SPLIT)
@@ -114,6 +108,16 @@ def _nonsplit_class(d: Rational, place: Place) -> QuadExtClass:
     return ext
 
 
+def is_local_square(r: Rational, place: Place) -> bool:
+    """Whether r is a square in the completion of Q at the given place, that
+    is whether Q_v(sqrt(r)) splits, as classify_extension reads it.  The
+    place is checked ahead of that cache, which cannot hash a list."""
+    r = _nonzero(r, "squareness of zero is not classified")
+    if place != REAL_PLACE:
+        require_prime_place(place)
+    return classify_extension(r, place) is _SPLIT
+
+
 @lru_cache(maxsize=4096, typed=True)
 def norm_char_fn(d: Rational, place: Place):
     """chi(d, -, place) partially evaluated for speed: a valuation coefficient
@@ -121,8 +125,8 @@ def norm_char_fn(d: Rational, place: Place):
 
     The returned callable accepts a nonzero int or Fraction; zero raises
     ValueError and any other type TypeError.  A nonzero int is read as it
-    is, its own square-class int; anything else goes through
-    _square_class_int, which checks it.  At odd p,
+    is, its own square-class int; anything else is checked by _nonzero and
+    read through padic._square_class_int.  At odd p,
     (d, u)_p = (u/p)^v_p(d) for a unit u, so chi is nontrivial on units
     exactly when v_p(d) is odd, that is when the extension is ramified; only
     then is the unit class read, by Euler's criterion, so a cached evaluator
@@ -134,7 +138,7 @@ def norm_char_fn(d: Rational, place: Place):
     if place == REAL_PLACE:
 
         def ev_real(x) -> int:
-            t = x if type(x) is int and x else _square_class_int(x)
+            t = x if type(x) is int and x else _square_class_int(_nonzero(x, _AT_ZERO))
             return 1 if t < 0 and ramified else 0
 
         return ev_real
@@ -148,7 +152,7 @@ def norm_char_fn(d: Rational, place: Place):
         tables = (even, tuple(x ^ c for x in even))
 
         def ev_dyadic(x) -> int:
-            t = x if type(x) is int and x else _square_class_int(x)
+            t = x if type(x) is int and x else _square_class_int(_nonzero(x, _AT_ZERO))
             v = (t & -t).bit_length() - 1
             return tables[v & 1][(t >> v) & 7]
 
@@ -158,7 +162,7 @@ def norm_char_fn(d: Rational, place: Place):
     # Euler's criterion stays inline here, not through legendre: ev_odd runs
     # on every enumerated point, where legendre's checks would run each time.
     def ev_odd(x) -> int:
-        t = x if type(x) is int and x else _square_class_int(x)
+        t = x if type(x) is int and x else _square_class_int(_nonzero(x, _AT_ZERO))
         if t % p:  # v = 0, the common case, without a valuation call
             return 1 if ramified and pow(t, half, p) != 1 else 0
         v, t = _valuation_and_unit(t, p)

@@ -23,7 +23,6 @@ __all__ = [
     "Place",
     "Rational",
     "hilbert_symbol",
-    "is_local_square",
     "is_rational_square",
     "legendre",
     "require_prime_place",
@@ -101,15 +100,25 @@ def _valuation_and_unit(n: int, p: int) -> Tuple[int, int]:
     return v, n
 
 
+def _square_class_int(r: Rational) -> Rational:
+    """num(r) den(r) for a Fraction r: r den(r)^2, an int in the square class
+    of r.  Anything else is returned as it is, for the caller's validator to
+    check; an int is tested first, as isinstance(r, Fraction) goes through
+    the ABC check."""
+    if isinstance(r, int):
+        return r
+    return r.numerator * r.denominator if isinstance(r, Fraction) else r
+
+
 def _square_class(r: Rational, p: int) -> Tuple[int, int]:
-    """(v, u) = _valuation_and_unit(t, p) for the int t = num(r) den(r), a
+    """(v, u) = _valuation_and_unit(t, p) for t = _square_class_int(r), a
     nonzero int or Fraction r and an int p >= 2 the caller has checked.
 
     t is in the square class of r, as t = r den(r)^2: v has the parity of
     v_p(r), and u is the unit of r times the square of the unit of den(r),
     so it has the same Legendre symbol at odd p and the same residue mod 8
     at p = 2, where every odd square is 1."""
-    return _valuation_and_unit(r.numerator * r.denominator, p)
+    return _valuation_and_unit(_square_class_int(r), p)
 
 
 def valuation(r: Rational, p: int) -> int:
@@ -135,16 +144,6 @@ def legendre(a: int, p: int) -> int:
     if a % p == 0:
         raise ValueError("legendre is undefined for a divisible by p")
     return 0 if pow(a, (p - 1) // 2, p) == 1 else 1
-
-
-def is_local_square(r: Rational, place: Place) -> bool:
-    """Whether r is a square in the completion of Q at the given place."""
-    r = _nonzero(r, "squareness of zero is not classified")
-    if place == REAL_PLACE:
-        return r > 0
-    p = require_prime_place(place)
-    v, u = _square_class(r, p)
-    return v % 2 == 0 and (u % 8 == 1 if p == 2 else legendre(u, p) == 0)
 
 
 def is_rational_square(r: Rational) -> bool:

@@ -191,6 +191,18 @@ class TestLocalCommand:
         assert "(4400 characters)" in err or "(4403 characters)" in err
         assert len(err) < 300
 
+    @pytest.mark.parametrize("p,e", [(2, 14000), (3, 9000), (5, 6100), (7, 5000)])
+    def test_deep_congruence_answers(self, p, e, capsys):
+        # v(e1 - e2) = e, with the root 1 + p^e just under the 4300-digit
+        # argv limit: the walk jumps the periodic chain of levels, so the
+        # depth costs no evaluations; at p = 7 the valuations read
+        # ~14,000-bit ints
+        args = ["local", "--d", str(p), "--p", str(p), "--roots", f"0,1,{1 + p**e}"]
+        with wall_clock_guard(2):
+            assert main(args) == EXIT_OK
+        cases = [line for line in capsys.readouterr().out.splitlines() if line.startswith("case:")]
+        assert cases in (["case: Prop3-i"], ["case: Prop2-i"])
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -17,7 +17,6 @@ from chatelet import (
     classify_extension,
     conductor_n,
     hilbert_symbol,
-    is_local_square,
     norm_char_fn,
     valuation,
 )
@@ -103,8 +102,9 @@ class TestClassifyExtension:
         assert [c.conductor_n for c in constants] == [0, 0, 0, 1, 2]
 
     def test_kinds_match_symbols(self):
-        # split iff d is a local square; unramified iff chi is trivial on
-        # units without being trivial
+        # split iff d pairs to 0 with every square class (u and pu, u a
+        # unit), the Hilbert pairing being nondegenerate; unramified iff chi
+        # is trivial on units without being trivial
         units = lambda p: [u for u in range(1, 8 * p) if u % p]
         for p in (2, 3, 5, 7, 11, 13):
             for num in range(-24, 25):
@@ -113,7 +113,8 @@ class TestClassifyExtension:
                         continue
                     d = Fraction(num, den)
                     kind = classify_extension(d, p).kind
-                    assert (kind is ExtKind.SPLIT) == is_local_square(d, p), (d, p)
+                    split = all(hilbert_symbol(d, u * s, p) == 0 for u in units(p) for s in (1, p))
+                    assert (kind is ExtKind.SPLIT) == split, (d, p)
                     if kind is not ExtKind.SPLIT:
                         blind = all(hilbert_symbol(d, u, p) == 0 for u in units(p))
                         assert (kind is ExtKind.UNRAMIFIED) == blind, (d, p)
