@@ -28,6 +28,7 @@ from .padic import (
     Rational,
     _nonzero,
     _square_class_int,
+    _valuation_and_unit,
     hilbert_symbol,
     is_rational_square,
 )
@@ -143,14 +144,19 @@ def global_chow(
     with a sanity sample of non-candidate primes asserted trivial.
 
     candidate_places checks d and the roots once, and the report holds them
-    as the caller gave them, ints or Fractions.  Every place then
-    runs on one integer surface, made once per call as local_chow would make
-    it: d0 = d * den(d)^2 and the roots L^2 c_i, L the lcm of the root
-    denominators.  The nontrivial reports kept have `normalized` mapped back
-    to the caller's coordinates by _in_caller_coordinates, as local_chow
-    maps its own.  A ContradictionError raised inside
-    local_chow prints that integer surface in its reproduction line, which
-    recomputes the same local group.
+    as the caller gave them, ints or Fractions.  Every place then runs on
+    one integer surface, made once per call: d0 the squarefree int of d's
+    square class, and the roots L^2 c_i, L the lcm of the root denominators
+    (as local_chow makes them).  candidate_places has factored d, so every
+    prime of d is a candidate, and d0 is d * den(d)^2 with the even part of
+    each prime's power divided out; the sign stays.  d0 / d is a rational
+    square, so every local group is the caller's, and the caches of
+    classify_extension and norm_char_fn see one key per square class and
+    place: d = 3, 12 and 75 share theirs.  The nontrivial reports kept have
+    `normalized` mapped back to the caller's coordinates by
+    _in_caller_coordinates, as local_chow maps its own.  A
+    ContradictionError raised inside local_chow prints that integer surface
+    in its reproduction line, which recomputes the same local group.
 
     sample_primes must be an int >= 0, not a bool (TypeError, ValueError
     otherwise).
@@ -165,7 +171,11 @@ def global_chow(
     if not places:  # d is a square in Q: every completion splits
         return GlobalReport(d, roots, 0, (), (), ())
 
+    # every prime of d is a candidate: keep its power's parity alone
     d0 = _square_class_int(d)
+    for p in places[1:]:
+        v, u = _valuation_and_unit(d0, p)
+        d0 = u * p if v % 2 else u
     (n1, n2, n3), scale = _integral_roots(roots)
     reports = [local_chow(d0, n1, n2, n3, place) for place in places]
     nontrivial = [_in_caller_coordinates(rep, scale) for rep in reports if rep.subgroup.basis]

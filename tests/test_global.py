@@ -342,9 +342,27 @@ class TestIntegerHandOff:
         assert [args[4] for args in calls] == [*rep.checked_places, *rep.sampled_primes]
         for args in calls:
             assert all(type(x) is int for x in args[:4]), args
+            # d's squarefree representative: the same square class, and
+            # squarefree at every candidate, where all of d's primes lie
+            assert chatelet.padic.is_rational_square(Fraction(args[0]) / d), args
+            assert all(valuation(args[0], p) <= 1 for p in rep.checked_places[1:]), args
+
+    def test_square_multiple_of_d_works_nothing_out_again(self):
+        # -108 = -3 * 6^2, and 2 and 3 are already candidates of -3: every
+        # place sees the key of -3 again
+        norms = chatelet.norms
+        caches = (norms.classify_extension, norms.norm_char_fn)
+        clear_program_caches()
+        first = global_chow(-3, 0, 1, 5)
+        misses = [cache.cache_info().misses for cache in caches]
+        second = global_chow(-108, 0, 1, 5)
+        assert [cache.cache_info().misses for cache in caches] == misses
+        assert second.local_reports == first.local_reports
+        assert second.checked_places == first.checked_places
 
     def test_contradiction_repro_is_the_integer_surface(self, monkeypatch, capsys):
-        # d = -3/4 and roots 1/2, 5/3, -7/4 become -12 and 72, 240, -252
+        # d = -3/4 and roots 1/2, 5/3, -7/4 become -3, d's squarefree
+        # representative, and 72, 240, -252
         monkeypatch.setattr(
             chatelet.local, "classify_case", lambda d, surf, place: ("Prop3-i", 8)
         )
@@ -354,7 +372,7 @@ class TestIntegerHandOff:
         assert exc.value.predicted_subgroup is None
         assert "(no subgroup)" in str(exc.value)
         line = str(exc.value).splitlines()[-1]
-        assert line == "chatelet local --d=-12 --roots=72,240,-252 --p=real"
+        assert line == "chatelet local --d=-3 --roots=72,240,-252 --p=real"
         monkeypatch.undo()
         assert main(shlex.split(line)[1:] + ["--format", "json"]) == EXIT_OK
         rep = global_chow(Fraction(-3, 4), Fraction(1, 2), Fraction(5, 3), Fraction(-7, 4))
