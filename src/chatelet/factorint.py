@@ -9,13 +9,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Dict, List, Optional
 
-__all__ = [
-    "FactorizationError",
-    "RhoBudget",
-    "factorize",
-    "is_prime",
-    "primes_below",
-]
+__all__ = ["FactorizationError", "factorize", "is_prime"]
 
 # Trial division covers the primes below this bound; rho splits the rest.
 _TRIAL_BOUND = 1000

@@ -556,11 +556,13 @@ def _integral_roots(roots: Tuple[Rational, ...]) -> Tuple[Tuple[int, ...], int]:
 def _in_caller_coordinates(report: LocalReport, scale: int) -> LocalReport:
     """The report of the roots c_i, from that of the integer roots scale^2 c_i:
     only `normalized` depends on the coordinates, and it is mapped back, e ->
-    e / scale^2 as a Fraction and r and D less 2 v(scale).  At scale 1, or
-    where there is no normalized surface, the report is returned as it is."""
-    surface = report.normalized
-    if scale == 1 or surface is None:
+    e / scale^2 as a Fraction and r and D less 2 v(scale).  At scale 1 the
+    report is returned as it is.  Both callers pass a non-split report, which
+    has a normalized surface: local_chow answers a split place before it
+    normalizes, and global_chow maps only reports with a nonzero subgroup."""
+    if scale == 1:
         return report
+    surface = report.normalized
     place = report.place
     square = scale * scale
     shift = 0 if place == REAL_PLACE else 2 * _valuation_and_unit(scale, place)[0]

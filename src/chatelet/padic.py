@@ -21,7 +21,6 @@ Place = Union[int, str]
 __all__ = [
     "REAL_PLACE",
     "Place",
-    "Rational",
     "hilbert_symbol",
     "is_rational_square",
     "legendre",

@@ -534,6 +534,35 @@ class TestSquareScaling:
         assert of_s - of_d <= set(scaled.checked_places)
 
 
+class TestNormScaling:
+    """x -> a x with a = s^2 - d t^2, a norm from Q(sqrt d), turns the cubic
+    into a^3 times itself, and a^3 is a norm too, so the surfaces are
+    isomorphic over Q.  Each root difference is multiplied by a, and
+    chi_v(a) = (d, a)_v = 0 at every place, so no triple moves: the local
+    group is the same at every place, not only the global one."""
+
+    def test_every_local_group_is_unchanged(self):
+        rng = random.Random(9)
+        compared = 0
+        with wall_clock_guard(20):
+            for i in range(1000):
+                family = _ENUMERABLE_FAMILIES[i % len(_ENUMERABLE_FAMILIES)]
+                d, roots, _ = random_surface(rng, family, small=True)
+                s, t = rng.randint(-6, 6), rng.randint(1, 6)
+                a = s * s - d * t * t
+                scaled = tuple(a * c for c in roots)
+                places = set(candidate_places(d, *roots)) | set(candidate_places(d, *scaled))
+                for place in places:
+                    plain = local_chow(d, *roots, place).subgroup
+                    assert local_chow(d, *scaled, place).subgroup == plain, (d, roots, a, place)
+                    compared += 1
+                assert (
+                    global_chow(d, *scaled, sample_primes=0).kernel_dim
+                    == global_chow(d, *roots, sample_primes=0).kernel_dim
+                ), (d, roots, a)
+        assert compared > 6000
+
+
 class TestReciprocity:
     def test_minus_one_pair(self):
         rep = reciprocity_check(-1, -1)

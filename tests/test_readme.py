@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import chatelet
+from chatelet import checks, factorint, globalchow, local, norms, padic
 from chatelet.cli import EXIT_OK, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -69,3 +71,30 @@ def test_library_snippet_values():
         assert eval(code, namespace) == ast.literal_eval(shown), line
         compared += 1
     assert compared >= 6
+
+
+ROOT_NAMES = """
+    CASE_FAMILIES CheckReport ContradictionError DegenerateSurfaceError ExtKind
+    FactorizationError GlobalReport LocalReport NormalizedSurface Place
+    QuadExtClass REAL_PLACE ReciprocityReport Subgroup3 SuiteResult
+    TRIVIAL_SUBGROUP candidate_places characteristic_points
+    characteristic_subgroup check_equivariance check_order_agreement
+    check_reciprocity check_root_scaling check_sampled_membership
+    check_square_scaling chi classify_case classify_extension conductor_n
+    factorize global_chow hilbert_symbol is_local_square is_prime
+    is_rational_square kernel_dimension legendre local_chow norm_char_fn
+    normalize_roots random_rational random_surface reciprocity_check
+    require_prime_place run_check special_fiber_images valuation
+""".split()
+
+
+def test_root_exports_each_module_list_once():
+    # the root's names are its modules' __all__ lists, each bound to the
+    # module's own object; helpers the modules keep private stay off the root
+    assert sorted(chatelet.__all__) == ROOT_NAMES
+    assert len(set(chatelet.__all__)) == len(chatelet.__all__)
+    for module in (checks, factorint, globalchow, local, norms, padic):
+        for name in module.__all__:
+            assert getattr(chatelet, name) is getattr(module, name), (module.__name__, name)
+    for name in ("Rational", "RhoBudget", "primes_below"):
+        assert not hasattr(chatelet, name)
