@@ -242,13 +242,20 @@ def normalize_roots(c1: Rational, c2: Rational, c3: Rational, place: Place) -> N
     (ValueError otherwise), checked after the roots.
     """
     roots = _distinct_roots(c1, c2, c3)
+    if place != REAL_PLACE:
+        require_prime_place(place)
+    return _normalize(*roots, place)
+
+
+def _normalize(c1: Rational, c2: Rational, c3: Rational, place: Place) -> NormalizedSurface:
+    """normalize_roots on roots and a place its caller has checked."""
     if place == REAL_PLACE:
+        roots = (c1, c2, c3)
         i, j, k = sorted(range(3), key=lambda t: roots[t])
         e1 = roots[j] - roots[i]
         e2 = roots[k] - roots[i]
         return NormalizedSurface(e1, e2, 0, 0, (i + 1, j + 1, k + 1))
-    p = require_prime_place(place)
-    c1, c2, c3 = roots
+    p = place
     d21, d31, d32 = c2 - c1, c3 - c1, c3 - c2
     v21, v31 = _valuation(d21, p), _valuation(d31, p)
     if v21 == v31:
@@ -266,7 +273,12 @@ def special_fiber_images(
     b = chi(e2) and g = chi(e1 - e2) as chi is additive: (0, 0, 0),
     (a + b, m + a, m + b), (a, a + g, g) and (b, m + g, m + b + g) over F2."""
     _nonsplit_class(d, place)
-    c = norm_char_fn(d, place)
+    return _fiber_images(norm_char_fn(d, place), surface)
+
+
+def _fiber_images(c, surface: NormalizedSurface) -> Tuple[Triple, ...]:
+    """special_fiber_images read through c, the evaluator of a non-split
+    (d, place)."""
     m, a, b, g = c(-1), c(surface.e1), c(surface.e2), c(surface.e1 - surface.e2)
     return ((0, 0, 0), (a ^ b, m ^ a, m ^ b), (a, a ^ g, g), (b, m ^ g, m ^ b ^ g))
 
@@ -280,11 +292,10 @@ def _real_samples(e1: Rational, e2: Rational) -> Tuple[Rational, ...]:
 
 
 def _integral_residue(e: Rational, modulus: int) -> int:
-    """The integer in [0, modulus) congruent to e, whose denominator is prime
-    to the modulus: 1 on local_chow's integer surface, and any p-unit on a
-    surface normalize_roots made from Fraction roots."""
-    den = e.denominator
-    return e.numerator % modulus if den == 1 else e.numerator * pow(den, -1, modulus) % modulus
+    """The integer in [0, modulus) congruent to the Fraction e, whose
+    denominator is prime to the modulus: a p-unit on a surface that
+    normalize_roots made from Fraction roots.  An int root is read with %."""
+    return e.numerator * pow(e.denominator, -1, modulus) % modulus
 
 
 # The digits o of the p^m sub-balls x + o p^(k+1) of a rootless child x at
@@ -389,14 +400,16 @@ def characteristic_points(
     ext = _nonsplit_class(d, p)
     m = ext.conductor_n
     reads_units = ext is not _UNRAMIFIED
-    surface, square = _integral_start(surface, p, m)
-    r, big_d = surface.r, surface.big_d
+    square = 1
+    if surface.r < m:
+        surface, square = _integral_start(surface, p, m)
+    r, big_d, e1, e2 = surface.r, surface.big_d, surface.e1, surface.e2
     last = big_d + m
     # Integers congruent to the roots far beyond every sub-ball radius stand
     # in for them: closeness and the characters see the same values.
     modulus = p ** (last + 2 * m + 3)
-    f1 = _integral_residue(surface.e1, modulus)
-    f2 = _integral_residue(surface.e2, modulus)
+    f1 = e1 % modulus if type(e1) is int else _integral_residue(e1, modulus)
+    f2 = e2 % modulus if type(e2) is int else _integral_residue(e2, modulus)
     digits = _SUB_BALL_DIGITS[m]
     levels = range(r - m, last + 1)
     if big_d - r > 2 * m + 3:
@@ -459,6 +472,14 @@ def characteristic_subgroup(
     The result is one of the five module constants.
     """
     fibers = special_fiber_images(d, surface, place)
+    return _span(fibers, d, surface, place, classify_extension(d, place).conductor_n)
+
+
+def _span(
+    fibers: Tuple[Triple, ...], d: Rational, surface: NormalizedSurface, place: Place, m: int
+) -> Subgroup3:
+    """characteristic_subgroup from the fiber images of a non-split (d, place)
+    of conductor exponent m."""
     # the fiber at infinity, fibers[0], maps to (0, 0, 0) and spans nothing;
     # the walk starts only if the fibers leave the span short of the plane
     first = None
@@ -470,7 +491,7 @@ def characteristic_subgroup(
     if place == 2:
         # only p = 2 has m >= 1, so an integer surface (r >= 0) moves there
         # alone
-        surface = _integral_start(surface, 2, classify_extension(d, 2).conductor_n)[0]
+        surface = _integral_start(surface, 2, m)[0]
     for _, t in characteristic_points(d, surface, place):
         if t != first and any(t):
             if first is not None:
@@ -616,7 +637,14 @@ def local_chow(
 
     The routes must agree on the subgroup, not only on its order: the
     enumerated one must be the subgroup that the predicted order fixes (see
-    _SUBGROUP_OF_ORDER), or a ContradictionError names both."""
+    _SUBGROUP_OF_ORDER), or a ContradictionError names both.
+
+    It is also the one check of a local call.  The routes run on the
+    checked integer surface through the stages that normalize_roots,
+    special_fiber_images and characteristic_subgroup run after their own
+    checks, fed the one class and chi evaluator of (d0, place)."""
+    if type(place) is not int and type(place) is not str:
+        require_prime_place(place)  # ahead of the caches, which cannot hash a list
     d0 = _square_class_int(d)
     ext = classify_extension(d0, place)  # checks the place, then d
     roots = _distinct_roots(c1, c2, c3)
@@ -625,8 +653,9 @@ def local_chow(
         return LocalReport(place, ext, None, label, 1, TRIVIAL_SUBGROUP)
 
     (n1, n2, n3), scale = _integral_roots(roots)
-    surface = normalize_roots(n1, n2, n3, place)
-    local_sub = characteristic_subgroup(d0, surface, place)
+    surface = _normalize(n1, n2, n3, place)
+    fibers = _fiber_images(norm_char_fn(d0, place), surface)
+    local_sub = _span(fibers, d0, surface, place, ext.conductor_n)
     label, predicted = classify_case(d0, surface, place)
     expected = _SUBGROUP_OF_ORDER.get(predicted)
     if expected is None or local_sub.basis != expected.basis:

@@ -173,6 +173,8 @@ def norm_char_fn(d: Rational, place: Place):
 
 def chi(d: Rational, x: Rational, place: Place) -> int:
     """Norm character of Q_v(sqrt(d)): 0 iff x is a norm (equals (d, x)_v)."""
+    if type(place) is not int and type(place) is not str:
+        require_prime_place(place)  # ahead of the cache, which cannot hash a list
     return norm_char_fn(d, place)(x)
 
 

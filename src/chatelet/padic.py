@@ -128,7 +128,9 @@ def valuation(r: Rational, p: int) -> int:
 
 def _valuation(r: Rational, p: int) -> int:
     """valuation for a nonzero int or Fraction r and an int p >= 2 that the
-    caller has checked."""
+    caller has checked.  An int prime to p, the common case, takes one %."""
+    if type(r) is int and r % p:
+        return 0
     v = _valuation_and_unit(r.numerator, p)[0]
     den = r.denominator
     return v if den == 1 else v - _valuation_and_unit(den, p)[0]

@@ -422,12 +422,14 @@ class TestEveryPlaceRunsBothRoutes:
         ],
     )
     def test_each_route_once_per_nonsplit_place(self, d, roots, monkeypatch):
-        runs = {"characteristic_subgroup": [], "classify_case": []}
-        for name, places in runs.items():
+        # local_chow runs the enumerator as the fold _span, whose place is
+        # its fourth argument, and the classifier as classify_case, third
+        runs = {"_span": [], "classify_case": []}
+        for (name, places), at in zip(runs.items(), (3, 2)):
 
-            def counted(d0, surface, place, route=getattr(chatelet.local, name), places=places):
-                places.append(place)
-                return route(d0, surface, place)
+            def counted(*args, route=getattr(chatelet.local, name), places=places, at=at):
+                places.append(args[at])
+                return route(*args)
 
             monkeypatch.setattr(chatelet.local, name, counted)
         rep = global_chow(d, *roots)
@@ -437,8 +439,26 @@ class TestEveryPlaceRunsBothRoutes:
             if classify_extension(d, place).kind is not ExtKind.SPLIT
         ]
         assert set(nonsplit) & set(rep.sampled_primes)
-        assert runs["characteristic_subgroup"] == nonsplit
+        assert runs["_span"] == nonsplit
         assert runs["classify_case"] == nonsplit
+
+    def test_roots_checked_once_per_place(self, monkeypatch):
+        # local_chow is the one check of a local call: the stages it runs
+        # trust its roots, and global_chow adds one check, in candidate_places
+        checks = []
+        check = chatelet.local._distinct_roots
+
+        def counted(*roots):
+            checks.append(roots)
+            return check(*roots)
+
+        monkeypatch.setattr(chatelet.local, "_distinct_roots", counted)
+        monkeypatch.setattr(chatelet.globalchow, "_distinct_roots", counted)
+        local_chow(-6, 0, 7, 19, 109)
+        assert checks == [(0, 7, 19)]
+        checks.clear()
+        rep = global_chow(-1, 0, 1, 2)
+        assert len(checks) == 1 + len(rep.checked_places) + len(rep.sampled_primes)
 
 
 def clear_program_caches():

@@ -504,9 +504,7 @@ class TestLocalChow:
         # on the order alone, and the subgroup check must still refuse it
         assert local_chow(-1, 0, 1, 9, 3).case_label == "Prop1-ii"
         wrong = Subgroup3.span([(1, 1, 0)])
-        monkeypatch.setattr(
-            chatelet.local, "characteristic_subgroup", lambda d, surf, place: wrong
-        )
+        monkeypatch.setattr(chatelet.local, "_span", lambda fibers, d, surf, place, m: wrong)
         with pytest.raises(ContradictionError) as exc:
             local_chow(-1, 0, 1, 9, 3)
         error = exc.value

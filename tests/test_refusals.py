@@ -11,6 +11,8 @@ Python.
 import hashlib
 from fractions import Fraction
 
+import pytest
+
 from chatelet import (
     REAL_PLACE,
     chi,
@@ -128,3 +130,13 @@ def test_refusals_digest():
     assert not [line for line in lines if ": returned " in line]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == REFUSALS_SHA256
+
+
+@pytest.mark.parametrize("place", [[2], {}], ids=["list", "dict"])
+def test_unhashable_place_is_refused_as_a_place(place):
+    # local_chow and chi check a place that is neither an int nor a str
+    # ahead of their caches, which cannot hash a list or a dict
+    for call in (lambda: local_chow(-1, 0, 1, 2, place), lambda: chi(-1, 3, place)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == f"place must be a prime or 'real', got {place!r}"
